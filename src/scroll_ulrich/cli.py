@@ -163,7 +163,8 @@ def cmd_classify(args) -> tuple[Report, int]:
         ["a", "b", "c", "status", "tag", "divisor", "dual_tag", "dual", "h0", "slope"],
     )
     counted = skipped = 0
-    for cell in _cells(args):
+    cells = _cells(args)
+    for cell in cells:
         a, b, c = cell["a"], cell["b"], cell["c"]
         if not cell["valid"]:
             table.rows.append([a, b, c, "skipped", "", "", "", "", "", ""])
@@ -184,7 +185,7 @@ def cmd_classify(args) -> tuple[Report, int]:
                 ]
             )
             counted += 1
-    meta = {"bundles": counted, "cells": len(_cells(args)), "skipped_cells": skipped}
+    meta = {"bundles": counted, "cells": len(cells), "skipped_cells": skipped}
     return Report("classify", meta, [table]), EXIT_OK
 
 
@@ -283,6 +284,8 @@ def cmd_ext_table(args) -> tuple[Report, int]:
 
 
 def cmd_tower_report(args) -> tuple[Report, int]:
+    if args.rmax < 1:
+        raise ConfigError(f"--rmax must be >= 1, got {args.rmax}")
     chern = Table(
         "tower-chern",
         ["a", "b", "c", "r", "c1", "c2", "c3", "slope", "chi_endo",
@@ -333,11 +336,15 @@ def cmd_instanton(args) -> tuple[Report, int]:
 
 
 def _worker_count() -> int:
+    """SCROLL_ULRICH_JOBS (default 1), capped at the number of CPUs."""
     raw = os.environ.get("SCROLL_ULRICH_JOBS", "1")
     try:
-        return max(1, int(raw))
+        jobs = int(raw)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise ConfigError(f"SCROLL_ULRICH_JOBS must be a positive integer, got {raw!r}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def cmd_verify(args) -> tuple[Report, int]:

@@ -13,6 +13,7 @@ z-window.  Completeness of the window is certified exactly: for each (x, y)
 there is a twist j in {1, 2, 3} making chi(D - jh) a non-constant linear
 polynomial in z, so the vanishing of all cohomology of D - jh pins z to the
 unique integer root (if any), which must land strictly inside the window.
+The empirical x, y bound re-check is `ulrich-scan-bounds` in verify.py.
 """
 
 from __future__ import annotations
@@ -170,24 +171,6 @@ def classify_ulrich_line_bundles(params: ScrollParams) -> list[UlrichLineBundleR
                 )
     records.sort(key=lambda r: r.divisor.as_tuple())
     return records
-
-
-def verify_scan_bounds(params: ScrollParams) -> bool:
-    """Empirically re-check the bound 0 <= x <= 2 (and 0 <= y <= 2 by swap).
-
-    Confirms is_ulrich_line fails for x in {-1, 3} with 0 <= y <= 2, and for
-    y in {-1, 3} with 0 <= x <= 2, across the z-window.
-    """
-    for z in z_window(params):
-        for x in (-1, 3):
-            for y in range(3):
-                if is_ulrich_line(params, DivisorClass(x, y, z)):
-                    return False
-        for y in (-1, 3):
-            for x in range(3):
-                if is_ulrich_line(params, DivisorClass(x, y, z)):
-                    return False
-    return True
 
 
 def slope(params: ScrollParams, c1: DivisorClass, rank: int) -> Fraction:

@@ -4,6 +4,10 @@ Each check returns rows (a, b, c, check, status, detail); the CLI verify
 command renders them and sets the exit code.  Cell checks run per parameter
 triple and can be fanned out to worker processes; the fixed-grid checks
 (cohomology box at representative parameters, tower, instanton) run once.
+
+The library computes and this module checks: the scan-bound re-check
+(`ulrich-scan-bounds`) and the involution transport of the extension records
+(`ext-involution-orbits`) run only here.
 """
 
 from __future__ import annotations
@@ -11,9 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chow import DivisorClass, ScrollParams, numerical_invariants, triple
+from .chow import DivisorClass, ScrollParams, mul_div_div, numerical_invariants, triple
 from .cohomology import chi_closed_form, h_scroll, serre_dual
 from .extensions import (
+    CASE_OF_PAIR,
+    ORBIT_REPRESENTATIVE,
+    Rank2ExtensionRecord,
     VanishingHypothesisError,
     chi_endomorphisms_rank2,
     enumerate_cases,
@@ -37,6 +44,7 @@ from .tower import (
 )
 from .ulrich import (
     DUAL_TAG,
+    SWAP_TAG,
     base_swap,
     classify_ulrich_line_bundles,
     expected_count,
@@ -44,8 +52,10 @@ from .ulrich import (
     named_line_bundles,
     slope,
     ulrich_dual,
-    verify_scan_bounds,
+    z_window,
 )
+
+Records = list[Rank2ExtensionRecord]
 
 REPRESENTATIVE_PARAMS = (
     (0, 0, 1),
@@ -80,6 +90,19 @@ class _Collector:
 
     def equal(self, name: str, got, want):
         self.check(name, got == want, f"got {got}, want {want}" if got != want else "")
+
+
+def verify_scan_bounds(params: ScrollParams) -> bool:
+    """Empirically re-check the bound 0 <= x <= 2 (and 0 <= y <= 2 by swap).
+
+    Confirms is_ulrich_line fails for x in {-1, 3} with 0 <= y <= 2, and for
+    y in {-1, 3} with 0 <= x <= 2, across the z-window.
+    """
+    border = [(x, y) for x in (-1, 3) for y in range(3)]
+    border += [(x, y) for y in (-1, 3) for x in range(3)]
+    return not any(
+        is_ulrich_line(params, DivisorClass(x, y, z)) for z in z_window(params) for x, y in border
+    )
 
 
 def _classification_checks(col: _Collector, params: ScrollParams):
@@ -149,7 +172,58 @@ def _cohomology_checks(col: _Collector, params: ScrollParams, span: int = 3):
     col.check("cohomology-degree-bounds", ok_pos, bad if not ok_pos else "")
 
 
-def _ext_checks(col: _Collector, params: ScrollParams):
+def _expected_cases(params: ScrollParams) -> set[int]:
+    tags = set(named_line_bundles(params))
+    return {case for pair, case in CASE_OF_PAIR.items() if pair <= tags}
+
+
+def _check_involution_orbits(params: ScrollParams, records: Records, swapped_records: Records):
+    """Raise AssertionError unless the case set and both involution transports hold.
+
+    `records`, `swapped_records`: enumerate_cases of params and params.swapped().
+    """
+    by_pair = {(r.sub.as_tuple(), r.quotient.as_tuple()): r for r in records}
+
+    seen_cases = {r.case_id for r in records}
+    expected = _expected_cases(params)
+    if seen_cases != expected:
+        raise AssertionError(
+            f"cases {sorted(seen_cases)} != expected {sorted(expected)} at {params}"
+        )
+
+    kx4h = params.canonical + 4 * params.h
+    for r in records:
+        # Ulrich duality: Ext^1(A, B) = Ext^1(B^U, A^U).
+        image = by_pair[
+            (ulrich_dual(params, r.quotient).as_tuple(), ulrich_dual(params, r.sub).as_tuple())
+        ]
+        if ORBIT_REPRESENTATIVE[image.case_id] != ORBIT_REPRESENTATIVE[r.case_id]:
+            raise AssertionError(f"dual image of case {r.case_id} leaves its orbit")
+        if image.ext_dim != r.ext_dim:
+            raise AssertionError(f"ext^1 not preserved by Ulrich duality at {params}")
+        if image.c1 != 2 * kx4h - r.c1:
+            raise AssertionError(f"c1 not transported by Ulrich duality at {params}")
+        if image.c2 != mul_div_div(kx4h, kx4h, params) - mul_div_div(kx4h, r.c1, params) + r.c2:
+            raise AssertionError(f"c2 not transported by Ulrich duality at {params}")
+
+    # Base swap: compare against the records of the swapped scroll structure.
+    swapped_by_pair = {(r.sub.as_tuple(), r.quotient.as_tuple()): r for r in swapped_records}
+    for r in records:
+        key = ((r.sub.y, r.sub.x, r.sub.z), (r.quotient.y, r.quotient.x, r.quotient.z))
+        image = swapped_by_pair[key]
+        if ORBIT_REPRESENTATIVE[image.case_id] != ORBIT_REPRESENTATIVE[r.case_id]:
+            raise AssertionError(f"swap image of case {r.case_id} leaves its orbit")
+        if image.sub_tag != SWAP_TAG[r.sub_tag] or image.quot_tag != SWAP_TAG[r.quot_tag]:
+            raise AssertionError(f"swap tags wrong for case {r.case_id} at {params}")
+        if image.ext_dim != r.ext_dim:
+            raise AssertionError(f"ext^1 not preserved by the base swap at {params}")
+        if image.c1.as_tuple() != (r.c1.y, r.c1.x, r.c1.z):
+            raise AssertionError(f"c1 not transported by the base swap at {params}")
+        if image.c2 != r.c2.swapped():
+            raise AssertionError(f"c2 not transported by the base swap at {params}")
+
+
+def _ext_checks(col: _Collector, params: ScrollParams, records: Records, swapped_records: Records):
     a, b, c = params.a, params.b, params.c
     forms = named_line_bundles(params)
     N, NU = forms["N"], forms["N_dual"]
@@ -169,15 +243,15 @@ def _ext_checks(col: _Collector, params: ScrollParams):
         col.equal("ext-L-M", e(forms["L"], M), 8 * c - 4)
         col.equal("ext-L-MU", e(forms["L"], MU), 0)
 
-    # the ordered-pair matrix self-verifies its involution orbit structure
+    # the ordered-pair matrix transports along both involutions
     try:
-        enumerate_cases(params)
+        _check_involution_orbits(params, records, swapped_records)
         col.check("ext-involution-orbits", True)
     except AssertionError as exc:
         col.check("ext-involution-orbits", False, str(exc))
 
 
-def _chern_checks(col: _Collector, params: ScrollParams):
+def _chern_checks(col: _Collector, params: ScrollParams, records: Records):
     a, b, c = params.a, params.b, params.c
     forms = named_line_bundles(params)
 
@@ -239,7 +313,7 @@ def _chern_checks(col: _Collector, params: ScrollParams):
 
     # slope of every extension c1 equals d + g - 1 per rank
     _, d, g = numerical_invariants(params)
-    for rec in enumerate_cases(params):
+    for rec in records:
         if slope(params, rec.c1, 2) != Fraction(d + g - 1):
             col.check("extension-slope", False, f"case {rec.case_id}")
             break
@@ -313,8 +387,11 @@ def run_cell_checks(cell: tuple[int, int, int]) -> list[CheckResult]:
     _classification_checks(col, params)
     _chow_checks(col, params)
     _cohomology_checks(col, params)
-    _ext_checks(col, params)
-    _chern_checks(col, params)
+    # one enumeration per triple; at a = b the swap fixes the parameters
+    records = enumerate_cases(params)
+    swapped_records = records if a == b else enumerate_cases(params.swapped())
+    _ext_checks(col, params, records, swapped_records)
+    _chern_checks(col, params, records)
     _endo_checks(col, params)
     _moduli_checks(col, params)
     return col.results

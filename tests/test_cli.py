@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from scroll_ulrich import cli
 from scroll_ulrich.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    ConfigError,
     build_parser,
     main,
     render_json,
@@ -120,6 +122,14 @@ def test_tower_report(capsys):
     assert [row[4] for row in h1["rows"]] == [3, 3, 5, 5]
 
 
+@pytest.mark.parametrize("rmax", ["0", "-3"])
+def test_tower_rmax_below_one_is_usage_error(capsys, rmax):
+    code, out, err = run(
+        ["tower-report", "--a", "0", "--b", "0", "--c", "1", "--rmax", rmax], capsys
+    )
+    assert code == EXIT_USAGE and "--rmax" in err and not out
+
+
 def test_instanton_cli(capsys):
     code, out, _ = run(["instanton", "--c", "2"], capsys)
     assert code == EXIT_OK
@@ -179,6 +189,27 @@ def test_verify_parallel_env(capsys, monkeypatch):
     monkeypatch.setenv("SCROLL_ULRICH_JOBS", "2")
     code, out, _ = run(["verify", "--a", "0..1", "--b", "0..1", "--c", "3", "--normalize"], capsys)
     assert code == EXIT_OK
+
+
+def test_worker_count_reads_env_and_caps_at_cpus(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("SCROLL_ULRICH_JOBS", raising=False)
+    assert cli._worker_count() == 1
+    monkeypatch.setenv("SCROLL_ULRICH_JOBS", "3")
+    assert cli._worker_count() == 3
+    monkeypatch.setenv("SCROLL_ULRICH_JOBS", "64")
+    assert cli._worker_count() == 4
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count() == 1
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2"])
+def test_bad_worker_count_is_usage_error(monkeypatch, capsys, raw):
+    monkeypatch.setenv("SCROLL_ULRICH_JOBS", raw)
+    with pytest.raises(ConfigError, match="SCROLL_ULRICH_JOBS"):
+        cli._worker_count()
+    code, out, err = run(["verify", "--a", "0", "--b", "0", "--c", "1"], capsys)
+    assert code == EXIT_USAGE and "SCROLL_ULRICH_JOBS" in err and not out
 
 
 def test_empty_grid_is_usage_error(capsys):

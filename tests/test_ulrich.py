@@ -20,7 +20,8 @@ from scroll_ulrich import (
     slope,
     ulrich_dual,
 )
-from scroll_ulrich.ulrich import expected_count, pinned_z, verify_scan_bounds, z_window
+from scroll_ulrich.ulrich import expected_count, pinned_z, z_window
+from scroll_ulrich.verify import verify_scan_bounds
 
 GRID = [
     (a, b, c)
