@@ -16,9 +16,20 @@ The alternating sum of any h-vector equals the closed polynomial
 for *all* integer (x, y, z); this is the strongest correctness oracle for
 the sign branches and is exercised heavily by the test suite.
 
-Results are memoized on (a, b, x, y, z); correctness does not depend on the
-cache, which only serves the classification and extension-table scans that
-re-query heavily overlapping bundles.
+The surface layer is closed-form.  For alpha >= 0 the P^1 sums
+
+    h0 = sum_{k=0}^{alpha} max(beta - k a + 1, 0)
+    h1 = sum_{k=0}^{alpha} max(k a - beta - 1, 0)
+
+are clipped arithmetic series (the second with k reversed), so each is
+O(1), also for a = 0.  The scroll layer still sums over 0 <= j <= x: each
+term depends on floor((z - j b + 1) / a), so the sum is a quasi-polynomial
+in j rather than a polynomial.  One evaluation costs O(|x|) after Serre
+normalisation, independent of y and z.
+
+Only the scroll layer is memoized, on (a, b, x, y, z).  Correctness does not
+depend on the cache; it serves the classification scans and the tower
+report, which re-query a few small classes many times.
 """
 
 from __future__ import annotations
@@ -56,29 +67,30 @@ class CohomologyVector:
 ZERO_COHOMOLOGY = CohomologyVector(0, 0, 0, 0)
 
 
-@lru_cache(maxsize=None)
-def _h_p1(d: int) -> tuple[int, int]:
-    return (max(d + 1, 0), max(-d - 1, 0))
-
-
 def h_p1(d: int) -> CohomologyVector:
     """h^i(P^1, O(d)): h0 = max(d+1, 0), h1 = max(-d-1, 0)."""
-    h0, h1 = _h_p1(d)
-    return CohomologyVector(h0, h1, 0, 0)
+    return CohomologyVector(max(d + 1, 0), max(-d - 1, 0), 0, 0)
 
 
-@lru_cache(maxsize=None)
+def _clipped_series(c: int, step: int, n: int) -> int:
+    """sum_{k=0}^{n-1} max(c - k step, 0) for step >= 0.
+
+    The positive terms are the first m = min(n, ceil(c / step)) ones (all n
+    when step = 0), and they form an arithmetic series.
+    """
+    if c <= 0:
+        return 0
+    m = n if step == 0 else min(n, -(-c // step))
+    return m * c - step * (m * (m - 1) // 2)
+
+
 def _h_surface(a: int, alpha: int, beta: int) -> tuple[int, int, int]:
     if a < 0:
         raise ValueError(f"Hirzebruch index must be non-negative, got a = {a}")
     if alpha >= 0:
-        # pushforward to P^1: sum of O(beta - ka) for 0 <= k <= alpha
-        h0 = h1 = 0
-        for k in range(alpha + 1):
-            p0, p1 = _h_p1(beta - k * a)
-            h0 += p0
-            h1 += p1
-        return (h0, h1, 0)
+        # pushforward to P^1: the sum of O(beta - ka) for 0 <= k <= alpha
+        n = alpha + 1
+        return (_clipped_series(beta + 1, a, n), _clipped_series(alpha * a - beta - 1, a, n), 0)
     if alpha == -1:
         return (0, 0, 0)
     # Serre duality with K_{F_a} = (-2, -a-2); lands in the branch alpha >= 0

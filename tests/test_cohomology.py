@@ -1,4 +1,4 @@
-"""Cohomology layer: frozen values, dual-route chi oracle, lattice oracle.
+"""Cohomology layer: frozen values and four independent oracles.
 
 The scroll is toric; for any divisor class the sections are the lattice
 points of the polyhedron cut out by the six rays of its fan,
@@ -6,8 +6,12 @@ points of the polyhedron cut out by the six rays of its fan,
     (1,0,b), (-1,a,0), (0,1,0), (0,-1,0), (0,0,1), (0,0,-1),
 
 so h0 has a section-counting oracle that never touches the pushforward
-code, and h3 follows from it through K_X - D.
+code, and h3 follows from it through K_X - D.  The other oracles are the
+term-by-term P^1 pushforward (`h_pushforward`), the Riemann-Roch polynomial,
+and Hirzebruch-Riemann-Roch computed in the Chow ring alone.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,7 @@ from scroll_ulrich import (
     serre_dual,
 )
 from scroll_ulrich import cohomology as cohmod
+from scroll_ulrich.chow import Codim2Class, mul_div_c2, mul_div_div, triple
 
 PARAMS = [
     ScrollParams(0, 0, 1),
@@ -53,6 +58,59 @@ def h0_lattice(params, div):
 
 def h3_lattice(params, div):
     return h0_lattice(params, serre_dual(params, div))
+
+
+def _surface_pushforward(a, alpha, beta):
+    """h^i(F_a, O(alpha, beta)) summed term by term over P^1."""
+    if alpha == -1:
+        return (0, 0, 0)
+    if alpha < -1:  # Serre duality with K_{F_a} = (-2, -a-2)
+        d0, d1, d2 = _surface_pushforward(a, -2 - alpha, -a - 2 - beta)
+        return (d2, d1, d0)
+    h0 = h1 = 0
+    for k in range(alpha + 1):
+        deg = beta - k * a
+        h0 += max(deg + 1, 0)
+        h1 += max(-deg - 1, 0)
+    return (h0, h1, 0)
+
+
+def h_pushforward(a, b, x, y, z):
+    """h^i(X, O(x, y, z)) as the sum of the surface terms O(y, z - jb), 0 <= j <= x.
+
+    The term-by-term P^1 pushforward, an oracle for the closed-form surface
+    layer; it caches nothing.
+    """
+    if x == -1:
+        return (0, 0, 0, 0)
+    if x < -1:  # Serre duality with K_X = (-2, -2, -(a+b+2))
+        d = h_pushforward(a, b, -2 - x, -2 - y, -(a + b + 2) - z)
+        return (d[3], d[2], d[1], d[0])
+    h = [0, 0, 0]
+    for j in range(x + 1):
+        for i, v in enumerate(_surface_pushforward(a, y, z - j * b)):
+            h[i] += v
+    return (*h, 0)
+
+
+def chi_hrr(params, div):
+    """chi(O(D)) by Hirzebruch-Riemann-Roch, in the Chow ring alone.
+
+    c1 = -K_X and, from the relative Euler sequence,
+    c2(T_X) = (2 xi + b F)(2 C0 + (a+2) F) + 4 C0.F.
+    """
+    a, b = params.a, params.b
+    c1 = -params.canonical
+    c2 = mul_div_div(DivisorClass(2, 0, b), DivisorClass(0, 2, a + 2), params) + Codim2Class(0, 0, 4)
+    assert mul_div_c2(c1, c2, params) == 24  # chi(O_X) = c1.c2 / 24 = 1
+    value = (
+        Fraction(triple(div, div, div, params), 6)
+        + Fraction(triple(div, div, c1, params), 4)
+        + Fraction(triple(div, c1, c1, params) + mul_div_c2(div, c2, params), 12)
+        + 1
+    )
+    assert value.denominator == 1
+    return int(value)
 
 
 params_st = st.sampled_from(PARAMS)
@@ -134,6 +192,38 @@ def test_h0_h3_against_lattice_count(p, d):
     assert vec.h3 == h3_lattice(p, d)
 
 
+@given(
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.integers(-12, 12),
+    st.integers(-12, 12),
+    st.integers(-60, 60),
+)
+@settings(max_examples=400)
+def test_closed_form_against_pushforward_loop(a, b, x, y, z):
+    # every sign branch of both layers, a = 0 (step-0 series) included
+    p = ScrollParams(a, b, a + b + 1)
+    assert h_scroll(p, DivisorClass(x, y, z)).as_tuple() == h_pushforward(a, b, x, y, z)
+    assert h_hirzebruch(a, y, z).as_tuple() == h_pushforward(a, 0, 0, y, z)
+
+
+@given(st.integers(0, 5), st.integers(0, 5), divisors)
+@settings(max_examples=300)
+def test_chi_against_hirzebruch_riemann_roch(a, b, d):
+    p = ScrollParams(a, b, a + b + 1)
+    assert chi_hrr(p, d) == chi_closed_form(p, d) == h_scroll(p, d).chi
+
+
+def test_large_class_in_bounded_time():
+    # h_scroll sums |x| + 1 closed-form surface terms, whatever y and z are
+    p = ScrollParams(1, 1, 3)
+    for d in (DivisorClass(100000, 100000, 0), serre_dual(p, DivisorClass(100000, 100000, 0))):
+        vec = h_scroll(p, d)
+        assert vec.chi == chi_closed_form(p, d)
+        assert h_scroll(p, serre_dual(p, d)) == vec.reversed()
+        assert h_scroll(p.swapped(), DivisorClass(d.y, d.x, d.z)) == vec
+
+
 @given(params_st, st.builds(DivisorClass, st.integers(0, 5), st.integers(0, 5), st.integers(-25, 25)))
 def test_nonnegative_quadrant_against_direct_double_sum(p, d):
     # independent recount: every h^i is the double sum of P^1 contributions
@@ -169,8 +259,6 @@ def test_results_do_not_depend_on_cache():
     d = DivisorClass(-4, 2, -11)
     warm = h_scroll(p, d)
     cohmod._h_scroll.cache_clear()
-    cohmod._h_surface.cache_clear()
-    cohmod._h_p1.cache_clear()
     assert h_scroll(p, d) == warm
 
 
