@@ -27,7 +27,7 @@ from .chow import Codim2Class, DivisorClass, ScrollParams, mul_div_div
 from .cohomology import chi, h_scroll
 from .ulrich import (
     ObstructionReport,
-    classify_ulrich_line_bundles,
+    UlrichLineBundleRecord,
     is_special_rank2,
     named_line_bundles,
     pullback_obstruction_report,
@@ -193,13 +193,17 @@ def build_extension_record(
     )
 
 
-def enumerate_cases(params: ScrollParams) -> list[Rank2ExtensionRecord]:
+def enumerate_cases(
+    params: ScrollParams, bundles: list[UlrichLineBundleRecord]
+) -> list[Rank2ExtensionRecord]:
     """All ordered pairs of distinct Ulrich line bundles, sorted by case.
 
-    Pure: the check `ext-involution-orbits` of `scroll-ulrich verify`
-    certifies the case set and the transport along both involutions.
+    `bundles` is the classification of `params`, i.e.
+    `classify_ulrich_line_bundles(params)`; the caller computes it once and
+    may reuse it.  Pure: the check `ext-involution-orbits` of
+    `scroll-ulrich verify` certifies the case set and the transport along
+    both involutions.
     """
-    bundles = classify_ulrich_line_bundles(params)
     records = [
         build_extension_record(params, s.divisor, q.divisor, s.tag, q.tag)
         for s in bundles

@@ -2,7 +2,7 @@
 
 Each check returns rows (a, b, c, check, status, detail); the CLI verify
 command renders them and sets the exit code.  Cell checks run per parameter
-triple and can be fanned out to worker processes; the fixed-grid checks
+triple, one cell after another in one process; the fixed-grid checks
 (cohomology box at representative parameters, tower, instanton) run once.
 
 The library computes and this module checks: the scan-bound re-check
@@ -45,6 +45,7 @@ from .tower import (
 from .ulrich import (
     DUAL_TAG,
     SWAP_TAG,
+    UlrichLineBundleRecord,
     base_swap,
     classify_ulrich_line_bundles,
     expected_count,
@@ -55,6 +56,7 @@ from .ulrich import (
     z_window,
 )
 
+Bundles = list[UlrichLineBundleRecord]
 Records = list[Rank2ExtensionRecord]
 
 REPRESENTATIVE_PARAMS = (
@@ -105,9 +107,8 @@ def verify_scan_bounds(params: ScrollParams) -> bool:
     )
 
 
-def _classification_checks(col: _Collector, params: ScrollParams):
+def _classification_checks(col: _Collector, params: ScrollParams, records: Bundles):
     n_amb, d, g = numerical_invariants(params)
-    records = classify_ulrich_line_bundles(params)
     col.equal("ulrich-count", len(records), expected_count(params))
     col.check("ulrich-no-unnamed", all(r.tag != "other" for r in records),
               str([r.divisor.as_tuple() for r in records if r.tag == "other"]))
@@ -384,12 +385,15 @@ def run_cell_checks(cell: tuple[int, int, int]) -> list[CheckResult]:
     a, b, c = cell
     col = _Collector(a, b, c)
     params = ScrollParams(a, b, c)
-    _classification_checks(col, params)
+    # one classification and one enumeration per triple; at a = b the swap
+    # fixes the parameters
+    bundles = classify_ulrich_line_bundles(params)
+    _classification_checks(col, params, bundles)
     _chow_checks(col, params)
     _cohomology_checks(col, params)
-    # one enumeration per triple; at a = b the swap fixes the parameters
-    records = enumerate_cases(params)
-    swapped_records = records if a == b else enumerate_cases(params.swapped())
+    records = enumerate_cases(params, bundles)
+    sw = params.swapped()
+    swapped_records = records if a == b else enumerate_cases(sw, classify_ulrich_line_bundles(sw))
     _ext_checks(col, params, records, swapped_records)
     _chern_checks(col, params, records)
     _endo_checks(col, params)

@@ -278,6 +278,6 @@ def test_criterion_10_property_suite():
             ok &= is_ulrich_line(q, e)
             ok &= h_scroll(p, r.divisor).h0 == d
             ok &= slope(p, r.divisor, 1) == Fraction(d + g - 1)
-        for rec in enumerate_cases(p):
+        for rec in enumerate_cases(p, classify_ulrich_line_bundles(p)):
             ok &= slope(p, rec.c1, 2) == Fraction(d + g - 1)
     report(10, "involutions, closure, swap, sections, slopes", ok)

@@ -1,15 +1,18 @@
 """Command-line surface: wire formats, render invariants, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from scroll_ulrich import cli
+import scroll_ulrich
 from scroll_ulrich.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
-    ConfigError,
     build_parser,
     main,
     render_json,
@@ -185,31 +188,19 @@ def test_verify_self_test_negative_control(capsys):
     assert any("self-test" in r[3] for r in rows)
 
 
-def test_verify_parallel_env(capsys, monkeypatch):
-    monkeypatch.setenv("SCROLL_ULRICH_JOBS", "2")
-    code, out, _ = run(["verify", "--a", "0..1", "--b", "0..1", "--c", "3", "--normalize"], capsys)
-    assert code == EXIT_OK
-
-
-def test_worker_count_reads_env_and_caps_at_cpus(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("SCROLL_ULRICH_JOBS", raising=False)
-    assert cli._worker_count() == 1
-    monkeypatch.setenv("SCROLL_ULRICH_JOBS", "3")
-    assert cli._worker_count() == 3
-    monkeypatch.setenv("SCROLL_ULRICH_JOBS", "64")
-    assert cli._worker_count() == 4
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert cli._worker_count() == 1
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-2"])
-def test_bad_worker_count_is_usage_error(monkeypatch, capsys, raw):
-    monkeypatch.setenv("SCROLL_ULRICH_JOBS", raw)
-    with pytest.raises(ConfigError, match="SCROLL_ULRICH_JOBS"):
-        cli._worker_count()
-    code, out, err = run(["verify", "--a", "0", "--b", "0", "--c", "1"], capsys)
-    assert code == EXIT_USAGE and "SCROLL_ULRICH_JOBS" in err and not out
+def test_cli_import_loads_no_process_pool():
+    # every CLI call pays for what `import scroll_ulrich.cli` loads; a process
+    # pool would pull in the `concurrent` and `multiprocessing` packages
+    code = (
+        "import sys, scroll_ulrich.cli; "
+        "print([m for m in ('concurrent', 'multiprocessing') if m in sys.modules])"
+    )
+    path = [str(Path(scroll_ulrich.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_empty_grid_is_usage_error(capsys):

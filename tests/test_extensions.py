@@ -8,6 +8,7 @@ from scroll_ulrich import (
     ScrollParams,
     VanishingHypothesisError,
     chi_endomorphisms_rank2,
+    classify_ulrich_line_bundles,
     enumerate_cases,
     ext1_dim,
     extension_chern,
@@ -137,7 +138,7 @@ def test_record_count_is_ordered_pairs():
     for cell in [(1, 2, 4), (0, 1, 2), (0, 0, 3), (2, 0, 4)]:
         p = ScrollParams(*cell)
         n = len(named_line_bundles(p))
-        assert len(enumerate_cases(p)) == n * (n - 1)
+        assert len(enumerate_cases(p, classify_ulrich_line_bundles(p))) == n * (n - 1)
 
 
 def test_h2_endomorphisms():
@@ -158,11 +159,14 @@ def test_h2_endomorphisms_hypothesis_guard():
 
 
 def test_enumerate_counts():
-    assert len(enumerate_cases(ScrollParams(1, 2, 4))) == 2
-    recs = enumerate_cases(ScrollParams(0, 1, 2))
+    p = ScrollParams(1, 2, 4)
+    assert len(enumerate_cases(p, classify_ulrich_line_bundles(p))) == 2
+    p = ScrollParams(0, 1, 2)
+    recs = enumerate_cases(p, classify_ulrich_line_bundles(p))
     assert len(recs) == 12
     assert {r.case_id for r in recs} == set(range(1, 7))
-    recs = enumerate_cases(ScrollParams(0, 0, 2))
+    p = ScrollParams(0, 0, 2)
+    recs = enumerate_cases(p, classify_ulrich_line_bundles(p))
     assert len(recs) == 30
     assert {r.case_id for r in recs} == set(range(1, 16))
 
@@ -183,7 +187,7 @@ def test_involutions_transport_case_data_verbatim():
     from scroll_ulrich.chow import mul_div_div
 
     p = ScrollParams(0, 0, 2)
-    recs = enumerate_cases(p)
+    recs = enumerate_cases(p, classify_ulrich_line_bundles(p))
     by_pair = {(r.sub.as_tuple(), r.quotient.as_tuple()): r for r in recs}
     swap_map = {1: 1, 2: 7, 3: 15, 4: 13, 5: 14, 6: 12, 7: 2, 8: 11,
                 9: 9, 10: 10, 11: 8, 12: 6, 13: 4, 14: 5, 15: 3}
@@ -223,7 +227,7 @@ def test_split_only_at_degree_six():
 def test_case_speciality():
     for b in range(3):
         p = ScrollParams(0, b, b + 2)
-        recs = enumerate_cases(p)
+        recs = enumerate_cases(p, classify_ulrich_line_bundles(p))
         for r in recs:
             if r.case_id in (1, 2, 7):
                 assert r.special
@@ -232,7 +236,8 @@ def test_case_speciality():
 
 
 def test_obstruction_verdicts():
-    recs = {r.case_id: r for r in enumerate_cases(ScrollParams(0, 0, 2))}
+    p = ScrollParams(0, 0, 2)
+    recs = {r.case_id: r for r in enumerate_cases(p, classify_ulrich_line_bundles(p))}
     assert recs[1].pullback_obstructed
     assert not recs[2].obstruction.from_base_a and recs[2].obstruction.from_base_b
     assert not recs[7].obstruction.from_base_b and recs[7].obstruction.from_base_a

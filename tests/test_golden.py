@@ -1,0 +1,38 @@
+"""Golden-output guard: the smoke-size workloads of bench/golden.json, in-process.
+
+`classify` and `tower-report` must print byte-identical canonical JSON; a
+`verify` run must pass and run every golden check at least as often as
+stored, the gate the benchmark applies to its samples.  The file is only
+read here; the full-size digests are checked by a CI step.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from scroll_ulrich.cli import EXIT_OK, main
+
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())
+SMOKE = (
+    "classify --a 0 --b 0 --c 3..4",
+    "tower-report --a 0 --b 1 --c 3 --rmax 6",
+    "verify --a 0 --b 0 --c 1..2",
+)
+
+
+@pytest.mark.parametrize("key", SMOKE)
+def test_smoke_output_matches_golden(key, capsys):
+    code = main(key.split())
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    expect = GOLDEN[key]
+    if "sha256" in expect:
+        assert hashlib.sha256(out.encode()).hexdigest() == expect["sha256"]
+        return
+    report = json.loads(out)
+    ledger = next(t for t in report["tables"] if t["name"] == "ledger")
+    runs = {row[0]: row[1] for row in ledger["rows"]}
+    assert report["meta"]["failed"] == 0
+    assert {name: n for name, n in expect["ledger"].items() if runs.get(name, 0) < n} == {}

@@ -5,8 +5,9 @@ that the named check of run_cell_checks catches it.
 """
 
 import dataclasses
+import sys
 
-from scroll_ulrich import ScrollParams, enumerate_cases, verify
+from scroll_ulrich import ScrollParams, classify_ulrich_line_bundles, enumerate_cases, verify
 from scroll_ulrich.chow import Codim2Class
 from scroll_ulrich.ulrich import SWAP_TAG
 
@@ -27,7 +28,12 @@ def _status(cell, name):
 def test_involution_transport_checks_pass_on_grid():
     for cell in FULL_GRID[::3]:
         p = ScrollParams(*cell)
-        verify._check_involution_orbits(p, enumerate_cases(p), enumerate_cases(p.swapped()))
+        q = p.swapped()
+        verify._check_involution_orbits(
+            p,
+            enumerate_cases(p, classify_ulrich_line_bundles(p)),
+            enumerate_cases(q, classify_ulrich_line_bundles(q)),
+        )
 
 
 def test_controls_pass_unpatched():
@@ -47,8 +53,8 @@ def test_c2_off_by_one_is_caught(monkeypatch):
     original = verify.enumerate_cases
     cell = (0, 1, 3)
 
-    def knocked(params):
-        records = original(params)
+    def knocked(params, bundles):
+        records = original(params, bundles)
         if params == ScrollParams(*cell):
             r = records[0]
             records[0] = dataclasses.replace(r, c2=r.c2 + Codim2Class(0, 0, 1))
@@ -64,3 +70,23 @@ def test_ulrich_at_x_three_is_caught(monkeypatch):
     monkeypatch.setattr(verify, "is_ulrich_line", lambda p, d: d.x == 3 or original(p, d))
     row = _status((0, 1, 3), "ulrich-scan-bounds")
     assert not row.ok
+
+
+def test_each_triple_is_classified_once(monkeypatch):
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return classify_ulrich_line_bundles(params)
+
+    # wrap it under every module name it is bound to
+    for name, module in list(sys.modules.items()):
+        if name.startswith("scroll_ulrich") and (
+            getattr(module, "classify_ulrich_line_bundles", None) is classify_ulrich_line_bundles
+        ):
+            monkeypatch.setattr(module, "classify_ulrich_line_bundles", counted)
+    verify.run_cell_checks((0, 0, 2))
+    assert calls == [ScrollParams(0, 0, 2)]
+    calls.clear()
+    verify.run_cell_checks((0, 1, 3))
+    assert calls == [ScrollParams(0, 1, 3), ScrollParams(1, 0, 3)]
