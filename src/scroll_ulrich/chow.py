@@ -20,6 +20,7 @@ so the checked-width concern of a fixed-size implementation does not arise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,8 @@ class ScrollParams:
     """The triple (a, b, c) fixing X and its polarization h = xi + C0 + cF.
 
     Constraints: a, b >= 0 and c >= a + b + 1 (very-ampleness of h).
+    `h` and `canonical` are built on first use and kept on the instance;
+    equality and hashing read only (a, b, c).
     """
 
     a: int
@@ -41,12 +44,12 @@ class ScrollParams:
                 f"h is very ample only for c >= a+b+1: c = {self.c} < {self.a + self.b + 1}"
             )
 
-    @property
+    @cached_property
     def h(self) -> "DivisorClass":
         """The hyperplane class xi + C0 + cF."""
         return DivisorClass(1, 1, self.c)
 
-    @property
+    @cached_property
     def canonical(self) -> "DivisorClass":
         """K_X = -2 xi - 2 C0 - (a+b+2) F."""
         return DivisorClass(-2, -2, -(self.a + self.b + 2))

@@ -3,7 +3,8 @@
 Reports are built once as (meta, tables) and rendered to JSON, Markdown or
 CSV with identical numeric content.  JSON output is canonical: sorted keys,
 two-space indent, no floats; exact rationals are reduced fraction strings.
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success, 1 verification failure, 2 usage or config error,
+3 internal error (an uncaught exception: one line on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from . import verify as verify_mod
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class ConfigError(Exception):
@@ -448,6 +450,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a defect, not a failed check: keep it apart from exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     fmt = getattr(args, "format", "json")
     sys.stdout.write(RENDERERS[fmt](report))
     if code != EXIT_OK:

@@ -29,20 +29,24 @@ normalisation, independent of y and z.
 
 Only the scroll layer is memoized, on (a, b, x, y, z).  Correctness does not
 depend on the cache; it serves the classification scans and the tower
-report, which re-query a few small classes many times.
+report, which re-query a few small classes many times.  The cache holds the
+immutable CohomologyVector itself and h_scroll hands that same object to
+every caller, so a hit builds nothing and a miss builds one vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .chow import DivisorClass, ScrollParams
 
 
-@dataclass(frozen=True)
-class CohomologyVector:
-    """The four dimensions (h0, h1, h2, h3), all non-negative."""
+class CohomologyVector(NamedTuple):
+    """The four dimensions (h0, h1, h2, h3), all non-negative.
+
+    Immutable, so one cached instance can be shared by every caller.
+    """
 
     h0: int
     h1: int
@@ -50,7 +54,7 @@ class CohomologyVector:
     h3: int
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.h0, self.h1, self.h2, self.h3)
+        return tuple(self)
 
     def is_zero(self) -> bool:
         return self == ZERO_COHOMOLOGY
@@ -105,7 +109,7 @@ def h_hirzebruch(a: int, alpha: int, beta: int) -> CohomologyVector:
 
 
 @lru_cache(maxsize=None)
-def _h_scroll(a: int, b: int, x: int, y: int, z: int) -> tuple[int, int, int, int]:
+def _h_scroll(a: int, b: int, x: int, y: int, z: int) -> CohomologyVector:
     if x >= 0:
         h0 = h1 = h2 = 0
         for j in range(x + 1):
@@ -113,17 +117,19 @@ def _h_scroll(a: int, b: int, x: int, y: int, z: int) -> tuple[int, int, int, in
             h0 += s0
             h1 += s1
             h2 += s2
-        return (h0, h1, h2, 0)
+        return CohomologyVector(h0, h1, h2, 0)
     if x == -1:
-        return (0, 0, 0, 0)
+        return ZERO_COHOMOLOGY
     # Serre duality with K_X = (-2, -2, -(a+b+2))
-    d = _h_scroll(a, b, -2 - x, -2 - y, -(a + b + 2) - z)
-    return (d[3], d[2], d[1], d[0])
+    return _h_scroll(a, b, -2 - x, -2 - y, -(a + b + 2) - z).reversed()
 
 
 def h_scroll(params: ScrollParams, div: DivisorClass) -> CohomologyVector:
-    """h^i(X, O(x, y, z)) for any integer divisor class."""
-    return CohomologyVector(*_h_scroll(params.a, params.b, div.x, div.y, div.z))
+    """h^i(X, O(x, y, z)) for any integer divisor class.
+
+    The returned vector is shared with the cache and every other caller.
+    """
+    return _h_scroll(params.a, params.b, div.x, div.y, div.z)
 
 
 def chi(params: ScrollParams, div: DivisorClass) -> int:

@@ -7,13 +7,21 @@ for j = 1, 2, 3.  Two involutions act on the set of Ulrich line bundles:
 * the base swap induced by the second scroll structure over F_b, which
   exchanges xi with C0 (and a with b) while fixing h.
 
-The classification scans 0 <= x, y <= 2 (the first bound is re-verifiable
-empirically, the second follows from it by the base swap) and a finite
-z-window.  Completeness of the window is certified exactly: for each (x, y)
-there is a twist j in {1, 2, 3} making chi(D - jh) a non-constant linear
-polynomial in z, so the vanishing of all cohomology of D - jh pins z to the
-unique integer root (if any), which must land strictly inside the window.
-The empirical x, y bound re-check is `ulrich-scan-bounds` in verify.py.
+The classification scans 0 <= x, y <= 2 and a finite z-window.  The x, y
+bound is proved: Riemann-Roch factors as
+
+    2 chi(x, y, z) = (x+1)(y+1)(2z + 2 - bx - ay),
+
+so chi(D - jh) = 0 for j = 1, 2, 3 forces each j to be a root of one of the
+three factors.  Each factor has at most one root in j (the last because
+c >= a + b + 1), so each must have one, and the first two have one only when
+0 <= x, y <= 2.  The certificate of that argument is `ulrich-scan-bounds` in
+verify.py.
+
+Completeness of the window is certified exactly: for each (x, y) there is a
+twist j in {1, 2, 3} making chi(D - jh) a non-constant linear polynomial in
+z, so the vanishing of all cohomology of D - jh pins z to the unique integer
+root (if any), which must land strictly inside the window.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ command renders them and sets the exit code.  Cell checks run per parameter
 triple, one cell after another in one process; the fixed-grid checks
 (cohomology box at representative parameters, tower, instanton) run once.
 
-The library computes and this module checks: the scan-bound re-check
-(`ulrich-scan-bounds`) and the involution transport of the extension records
-(`ext-involution-orbits`) run only here.
+The library computes and this module checks: the O(1) scan-bound
+certificate (`ulrich-scan-bounds`) and the involution transport of the
+extension records (`ext-involution-orbits`) run only here.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .ulrich import (
     named_line_bundles,
     slope,
     ulrich_dual,
-    z_window,
 )
 
 Bundles = list[UlrichLineBundleRecord]
@@ -95,15 +94,27 @@ class _Collector:
 
 
 def verify_scan_bounds(params: ScrollParams) -> bool:
-    """Empirically re-check the bound 0 <= x <= 2 (and 0 <= y <= 2 by swap).
+    """Certify the classification bound 0 <= x, y <= 2 in O(1), whatever c is.
 
-    Confirms is_ulrich_line fails for x in {-1, 3} with 0 <= y <= 2, and for
-    y in {-1, 3} with 0 <= x <= 2, across the z-window.
+    The proof is in the ulrich module docstring: 2 chi(D - jh) factors as
+    (x-j+1)(y-j+1) L_j with L_j = 2z + 2 - bx - ay + j(a+b-2c).  Checked here:
+    the factorization against chi_closed_form at 4 points per variable, the
+    nonzero step a+b-2c, and is_ulrich_line rejecting the L_j root (rounded
+    down at a half-integer) of each border row for j = 1, 2, 3: 36 calls.
     """
+    a, b, c = params.a, params.b, params.c
+    grid = range(4)
+    factored = all(
+        2 * chi_closed_form(params, DivisorClass(x, y, z))
+        == (x + 1) * (y + 1) * (2 * z + 2 - b * x - a * y)
+        for x in grid for y in grid for z in grid
+    )
+    step = a + b - 2 * c
     border = [(x, y) for x in (-1, 3) for y in range(3)]
     border += [(x, y) for y in (-1, 3) for x in range(3)]
-    return not any(
-        is_ulrich_line(params, DivisorClass(x, y, z)) for z in z_window(params) for x, y in border
+    return factored and step != 0 and not any(
+        is_ulrich_line(params, DivisorClass(x, y, (b * x + a * y - 2 - j * step) // 2))
+        for x, y in border for j in (1, 2, 3)
     )
 
 

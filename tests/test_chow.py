@@ -131,6 +131,15 @@ def test_params_validation():
         ScrollParams(1, 1, 2)
 
 
+def test_derived_classes_are_kept_and_leave_equality_alone():
+    p = ScrollParams(1, 2, 4)
+    assert p.h is p.h and p.canonical is p.canonical
+    assert p.h == DivisorClass(1, 1, 4) and p.canonical == DivisorClass(-2, -2, -5)
+    fresh = ScrollParams(1, 2, 4)
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    assert {fresh: "x"}[p] == "x"
+
+
 @given(divisors, divisors, params_st)
 def test_product_matches_rewriting_oracle(d1, d2, p):
     assert mul_div_div(d1, d2, p) == oracle_mul_div_div(d1, d2, p)

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import scroll_ulrich
+from scroll_ulrich import cli
 from scroll_ulrich.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
@@ -211,6 +213,17 @@ def test_empty_grid_is_usage_error(capsys):
 def test_bad_range_is_usage_error(capsys):
     code, _, err = run(["classify", "--a", "3..1", "--b", "0", "--c", "5"], capsys)
     assert code == EXIT_USAGE and "range" in err
+
+
+def test_uncaught_exception_is_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_classify", broken)
+    code, out, err = run(["classify", "--a", "0", "--b", "0", "--c", "1"], capsys)
+    assert code == EXIT_INTERNAL
+    assert EXIT_INTERNAL not in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE)
+    assert out == "" and err == "internal error: RuntimeError: boom\n"
 
 
 def test_missing_subcommand_exits_2():

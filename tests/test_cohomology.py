@@ -262,6 +262,15 @@ def test_results_do_not_depend_on_cache():
     assert h_scroll(p, d) == warm
 
 
+def test_shared_vector_is_immutable():
+    p, d = ScrollParams(0, 1, 2), DivisorClass(-4, 1, -3)
+    v = h_scroll(p, d)
+    assert v is h_scroll(p, d)
+    with pytest.raises(AttributeError):
+        v.h0 = v.h0 + 1
+    assert h_scroll(p, d).as_tuple() == v.as_tuple() == h_pushforward(0, 1, -4, 1, -3)
+
+
 def test_vector_helpers():
     v = CohomologyVector(1, 2, 3, 4)
     assert v.reversed().as_tuple() == (4, 3, 2, 1)

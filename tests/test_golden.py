@@ -3,7 +3,9 @@
 `classify` and `tower-report` must print byte-identical canonical JSON; a
 `verify` run must pass and run every golden check at least as often as
 stored, the gate the benchmark applies to its samples.  The file is only
-read here; the full-size digests are checked by a CI step.
+read here; the full-size digests are checked by a CI step.  The full check
+listing of a small `verify --all` grid is pinned inline, since the ledger
+gate alone would not see a changed detail or status string.
 """
 
 import hashlib
@@ -20,6 +22,8 @@ SMOKE = (
     "tower-report --a 0 --b 1 --c 3 --rmax 6",
     "verify --a 0 --b 0 --c 1..2",
 )
+VERIFY_ALL = "verify --a 0..1 --b 0..1 --normalize --all"
+VERIFY_ALL_SHA256 = "107b558c0ec65acf863aa188960a8ff25929d1cae3aa9f2e9fe3b32229abd8c0"
 
 
 @pytest.mark.parametrize("key", SMOKE)
@@ -36,3 +40,10 @@ def test_smoke_output_matches_golden(key, capsys):
     runs = {row[0]: row[1] for row in ledger["rows"]}
     assert report["meta"]["failed"] == 0
     assert {name: n for name, n in expect["ledger"].items() if runs.get(name, 0) < n} == {}
+
+
+def test_verify_listing_is_byte_identical(capsys):
+    code = main(VERIFY_ALL.split())
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256

@@ -7,6 +7,8 @@ that the named check of run_cell_checks catches it.
 import dataclasses
 import sys
 
+import pytest
+
 from scroll_ulrich import ScrollParams, classify_ulrich_line_bundles, enumerate_cases, verify
 from scroll_ulrich.chow import Codim2Class
 from scroll_ulrich.ulrich import SWAP_TAG
@@ -70,6 +72,34 @@ def test_ulrich_at_x_three_is_caught(monkeypatch):
     monkeypatch.setattr(verify, "is_ulrich_line", lambda p, d: d.x == 3 or original(p, d))
     row = _status((0, 1, 3), "ulrich-scan-bounds")
     assert not row.ok
+
+
+def test_ulrich_at_x_minus_one_is_caught(monkeypatch):
+    original = verify.is_ulrich_line
+    monkeypatch.setattr(verify, "is_ulrich_line", lambda p, d: d.x == -1 or original(p, d))
+    row = _status((0, 1, 3), "ulrich-scan-bounds")
+    assert not row.ok
+
+
+def test_broken_factorization_is_caught(monkeypatch):
+    original = verify.chi_closed_form
+    monkeypatch.setattr(verify, "chi_closed_form", lambda p, d: original(p, d) + (d.x == 2))
+    row = _status((0, 1, 3), "ulrich-scan-bounds")
+    assert not row.ok
+
+
+@pytest.mark.parametrize("c", [3, 300])
+def test_scan_bound_certificate_is_constant_size(monkeypatch, c):
+    calls = []
+    original = verify.is_ulrich_line
+
+    def counted(params, div):
+        calls.append(div)
+        return original(params, div)
+
+    monkeypatch.setattr(verify, "is_ulrich_line", counted)
+    assert verify.verify_scan_bounds(ScrollParams(0, 1, c))
+    assert len(calls) == 36
 
 
 def test_each_triple_is_classified_once(monkeypatch):
