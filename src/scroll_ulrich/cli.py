@@ -299,6 +299,7 @@ def cmd_tower_report(args) -> tuple[Report, int]:
             skipped += 1
             continue
         params = ScrollParams(a, b, c)
+        inside = in_tower_hypothesis(params)
         for r in range(1, args.rmax + 1):
             tw = tower_chern(params, r)
             chern.rows.append(
@@ -306,13 +307,13 @@ def cmd_tower_report(args) -> tuple[Report, int]:
                     a, b, c, r,
                     _div_str(tw.c1), f"{tw.c2.p},{tw.c2.q},{tw.c2.r}", tw.c3,
                     str(slope(params, tw.c1, r)),
-                    chi_endo_tower(params, r) if in_tower_hypothesis(params) else "",
+                    chi_endo_tower(params, r) if inside else "",
                     moduli_dim_tower(r),
                     moduli_dim_gap(r) if r >= 2 else "",
-                    tw.outside_hypothesis,
+                    not inside,
                 ]
             )
-        if in_tower_hypothesis(params):
+        if inside:
             for r, h1 in enumerate(tower_h1_recursion(params, args.rmax), start=1):
                 h1_table.rows.append([a, b, c, r, h1])
     meta = {"rmax": args.rmax, "skipped_cells": skipped}
@@ -351,13 +352,6 @@ def cmd_verify(args) -> tuple[Report, int]:
     results.extend(verify_mod.run_cohomology_box_checks())
     results.extend(verify_mod.run_tower_checks())
     results.extend(verify_mod.run_instanton_checks())
-    if args.self_test:
-        results.append(
-            verify_mod.CheckResult(
-                0, 0, 0, "self-test-negative-control", False,
-                "constant failing row: exercises the exit-1 path",
-            )
-        )
 
     results.sort(key=lambda r: (r.a, r.b, r.c, r.check))
     failed = [r for r in results if not r.ok]
@@ -435,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="replay the verification grid; exit 1 on any failure")
     add_grid(p)
     p.add_argument("--all", action="store_true", help="list passing checks too")
-    p.add_argument("--self-test", action="store_true",
-                   help="append a constant failing row; must exit 1")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -6,8 +6,10 @@ triple, one cell after another in one process; the fixed-grid checks
 (cohomology box at representative parameters, tower, instanton) run once.
 
 The library computes and this module checks: the O(1) scan-bound
-certificate (`ulrich-scan-bounds`) and the involution transport of the
-extension records (`ext-involution-orbits`) run only here.
+certificate (`ulrich-scan-bounds`), the involution transport of the
+extension records (`ext-involution-orbits`) and the closed forms of the
+extension tower with their certificate (`tower-closed-forms`) live only
+here.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chow import DivisorClass, ScrollParams, mul_div_div, numerical_invariants, triple
+from .chow import Codim2Class, DivisorClass, ScrollParams, mul_div_div, numerical_invariants, triple
 from .cohomology import chi_closed_form, h_scroll, serre_dual
 from .extensions import (
     CASE_OF_PAIR,
@@ -35,12 +37,12 @@ from .extensions import (
 from .tower import (
     chi_endo_tower,
     chi_tower_vs_line,
-    epsilon,
     moduli_dim_gap,
     moduli_dim_tower,
     tower_chern,
     tower_h1_recursion,
     tower_pair,
+    tower_quotient,
 )
 from .ulrich import (
     DUAL_TAG,
@@ -426,33 +428,103 @@ def run_cohomology_box_checks() -> list[CheckResult]:
     return out
 
 
-def run_tower_checks(r_max: int = 12) -> list[CheckResult]:
+# Ranks at which the tower closed forms are compared: four of each parity,
+# enough to pin a polynomial of degree 3 in r (see run_tower_checks).
+TOWER_RANKS = 2 * (3 + 1)
+
+
+def _closed_c1(params: ScrollParams, r: int) -> DivisorClass:
+    a, b, c = params.a, params.b, params.c
+    if r % 2:
+        return DivisorClass(
+            r - 1, r + 1, r * (2 * c - 1) - (r + 1) // 2 * b - (r - 1) // 2 * a
+        )
+    return DivisorClass(r, r, r * (2 * c - 1) - r // 2 * (a + b))
+
+
+def _closed_c2(params: ScrollParams, r: int) -> Codim2Class:
+    a, b, c = params.a, params.b, params.c
+    if r % 2:
+        return Codim2Class(
+            r * r - 1,
+            (r - 1) ** 2 * (2 * c - b - 1) - a * (r - 1) * (r - 3) // 2,
+            (r * r - 1) * (4 * c - 2 * a - b - 2) // 2,
+        )
+    return Codim2Class(
+        r * r,
+        r * (r - 1) * (2 * c - a - b - 1) + a * r * r // 2,
+        r * (r - 1) * (2 * c - a - b - 1) + b * r * r // 2,
+    )
+
+
+def _closed_c3(params: ScrollParams, r: int) -> int:
+    g1 = 2 * params.c - params.a - params.b - 1
+    if r % 2:
+        return (r * r - 1) * (r - 2) * g1
+    return r * r * (r - 2) * g1
+
+
+def _check_tower(params: ScrollParams):
+    """Raise AssertionError at the first tower value that misses its closed form."""
+
+    def expect(what: str, got, want):
+        if got != want:
+            raise AssertionError(f"tower {what}: got {got}, want {want} at {params}")
+
+    n_dual, n = tower_pair(params)
+    expect("h^1 seeds", (h_scroll(params, n_dual - n).h1, h_scroll(params, n - n_dual).h1), (3, 3))
+    h1 = tower_h1_recursion(params, TOWER_RANKS)
+    mu = Fraction(4 * (2 * params.c - params.b - params.a) - 2)
+    for r in range(1, TOWER_RANKS + 1):
+        odd = r % 2
+        tw = tower_chern(params, r)
+        expect(f"Chern classes at r={r}", (tw.c1, tw.c2, tw.c3),
+               (_closed_c1(params, r), _closed_c2(params, r), _closed_c3(params, r)))
+        expect(f"slope at r={r}", slope(params, tw.c1, r), mu)
+        chi_next = chi_tower_vs_line(params, r, tower_quotient(params, r + 1))
+        expect(f"chi vs Q_{r + 1} at r={r}", chi_next, -r - 2 if odd else -r)
+        expect(f"chi vs Q_{r} at r={r}",
+               chi_tower_vs_line(params, r, tower_quotient(params, r)), -r + 2 if odd else -r)
+        chi_end = chi_endo_tower(params, r)
+        expect(f"chi(End) at r={r}", chi_end, -r * r + 2 if odd else -r * r)
+        expect(f"moduli dim vs 1 - chi(End) at r={r}", moduli_dim_tower(r), 1 - chi_end)
+        expect(f"h^1 at r={r}", h1[r - 1], r + 2 if odd else r + 1)
+        expect(f"h^1 vs h^0 - chi at r={r}", h1[r - 1], (0 if odd else 1) - chi_next)
+        if r >= 2:
+            expect(f"gap at r={r}", moduli_dim_gap(r), r - 2 if odd else r + 1)
+
+
+def run_tower_checks() -> list[CheckResult]:
+    """`tower-closed-forms` on the 18 cells a <= b <= 1, c = a+b+1..a+b+6.
+
+    Each cell compares the library's tower with the closed forms above at
+    ranks 1..TOWER_RANKS: the Chern classes of the Whitney recursion, both
+    chi ladders and chi(End G_r), the h^1 sequence against its closed form
+    and against h^0 - chi, the seeds h^1(N^U - N) = h^1(N - N^U) = 3, the
+    slope, the gap, and the moduli dimension against the deformation count
+    1 - chi(End G_r).
+
+    Certificate that the Chern closed forms hold for every (a, b, c) and r.
+    On each parity of r every `//` in them divides exactly, so they are
+    polynomials of degree <= 3 in r, affine in (a, b, c); the x, y parts of
+    c1 and the xi.C0 part of c2 do not involve (a, b, c), nor do the x, y
+    parts of N and N^U.  Let D(r) be the closed form at r minus one Whitney
+    step with Q_r applied to the closed form at r - 1.  By the above, D is,
+    for each parity, of degree <= 3 in r and affine in (a, b, c).  The
+    closed form at r = 0 is zero, so D(1) = 0 is the base case G_1 = N^U,
+    and where the recursion matches at r - 1, D(r) = 0 says it matches at r.
+    Agreement at ranks 1..8 thus makes D vanish at four ranks of each
+    parity, on the four affinely independent cells (0,0,1), (0,0,2),
+    (0,1,2) and (1,1,3) of this grid; so D vanishes identically, and by
+    induction on r the closed forms equal the recursion everywhere.
+    """
     out = []
     for a in (0, 1):
         for b in range(a, 2):
             for c in range(a + b + 1, a + b + 7):
                 col = _Collector(a, b, c)
-                params = ScrollParams(a, b, c)
                 try:
-                    _, d, g = numerical_invariants(params)
-                    mu = Fraction(4 * (2 * c - b - a) - 2)
-                    for r in range(1, r_max + 1):
-                        tw = tower_chern(params, r)
-                        if slope(params, tw.c1, r) != mu:
-                            raise AssertionError(f"tower slope at r={r}")
-                        n_dual, n = tower_pair(params)
-                        pick = {1: n_dual, 2: n}
-                        chi_tower_vs_line(params, r, pick[epsilon(r + 1)])
-                        chi_tower_vs_line(params, r, pick[epsilon(r)])
-                        chi_endo_tower(params, r)
-                        dim = moduli_dim_tower(r)
-                        if dim != (r * r - 1 if r % 2 else r * r + 1):
-                            raise AssertionError(f"tower moduli dim at r={r}")
-                        if r >= 2:
-                            gap = moduli_dim_gap(r)
-                            if gap != (r + 1 if r % 2 == 0 else r - 2) or gap <= 0:
-                                raise AssertionError(f"tower gap at r={r}")
-                    tower_h1_recursion(params, r_max)
+                    _check_tower(ScrollParams(a, b, c))
                     col.check("tower-closed-forms", True)
                 except AssertionError as exc:
                     col.check("tower-closed-forms", False, str(exc))

@@ -42,6 +42,7 @@ from scroll_ulrich import (
 )
 from scroll_ulrich.extensions import VanishingHypothesisError
 from scroll_ulrich.tower import tower_pair
+from scroll_ulrich.verify import _closed_c1, _closed_c2, _closed_c3
 from scroll_ulrich.ulrich import expected_count
 
 GRID = [
@@ -234,7 +235,8 @@ def test_criterion_08_tower():
         n_dual, n = tower_pair(p)
         pick = {1: n_dual, 2: n}
         for r in range(1, 13):
-            tower_chern(p, r)  # closed-form agreement asserted internally
+            t = tower_chern(p, r)
+            ok &= (t.c1, t.c2, t.c3) == (_closed_c1(p, r), _closed_c2(p, r), _closed_c3(p, r))
             ok &= chi_tower_vs_line(p, r, pick[epsilon(r + 1)]) == (-r - 2 if r % 2 else -r)
             ok &= chi_tower_vs_line(p, r, pick[epsilon(r)]) == (-r + 2 if r % 2 else -r)
             ok &= chi_endo_tower(p, r) == (-r * r + 2 if r % 2 else -r * r)

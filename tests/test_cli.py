@@ -10,6 +10,7 @@ import pytest
 
 import scroll_ulrich
 from scroll_ulrich import cli
+from scroll_ulrich import verify as verify_mod
 from scroll_ulrich.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -179,15 +180,17 @@ def test_verify_small_grid(capsys):
     assert report["meta"]["failed"] == 0
 
 
-def test_verify_self_test_negative_control(capsys):
-    code, out, err = run(
-        ["verify", "--a", "0", "--b", "0", "--c", "1", "--self-test"], capsys
-    )
+def test_verify_negative_control_exits_one(capsys, monkeypatch):
+    # a closed c3 off by one at one rank must fail verify, and be named
+    real = verify_mod._closed_c3
+    monkeypatch.setattr(verify_mod, "_closed_c3", lambda p, r: real(p, r) + (r == 5))
+    code, out, err = run(["verify", "--a", "0", "--b", "0", "--c", "1"], capsys)
     assert code == EXIT_VERIFY_FAILED
     report = json.loads(out)
-    assert report["meta"]["failed"] == 1
     rows = [t for t in report["tables"] if t["name"] == "checks"][0]["rows"]
-    assert any("self-test" in r[3] for r in rows)
+    assert report["meta"]["failed"] == len(rows) > 0
+    assert {r[3] for r in rows} == {"tower-closed-forms"}
+    assert "Chern classes at r=5" in rows[0][5]
 
 
 def test_cli_import_loads_no_process_pool():

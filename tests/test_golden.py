@@ -5,7 +5,9 @@
 stored, the gate the benchmark applies to its samples.  The file is only
 read here; the full-size digests are checked by a CI step.  The full check
 listing of a small `verify --all` grid is pinned inline, since the ledger
-gate alone would not see a changed detail or status string.
+gate alone would not see a changed detail or status string, and so is a
+`tower-report` whose cells are mostly outside the tower hypothesis, which
+no golden digest covers.
 """
 
 import hashlib
@@ -24,6 +26,8 @@ SMOKE = (
 )
 VERIFY_ALL = "verify --a 0..1 --b 0..1 --normalize --all"
 VERIFY_ALL_SHA256 = "107b558c0ec65acf863aa188960a8ff25929d1cae3aa9f2e9fe3b32229abd8c0"
+TOWER_OUTSIDE = "tower-report --a 0..2 --b 0..2 --rmax 12"
+TOWER_OUTSIDE_SHA256 = "bbd019d8da86638803b914a521809cb2d47bea047ffecf994a43403fb1d06129"
 
 
 @pytest.mark.parametrize("key", SMOKE)
@@ -47,3 +51,10 @@ def test_verify_listing_is_byte_identical(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
+def test_tower_report_outside_hypothesis_is_byte_identical(capsys):
+    code = main(TOWER_OUTSIDE.split())
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == TOWER_OUTSIDE_SHA256

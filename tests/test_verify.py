@@ -1,7 +1,7 @@
 """The certificates that live only in verify, with negative controls.
 
 Each control patches a real defect into the code a check reads and asserts
-that the named check of run_cell_checks catches it.
+that the named check of run_cell_checks or run_tower_checks catches it.
 """
 
 import dataclasses
@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from scroll_ulrich import ScrollParams, classify_ulrich_line_bundles, enumerate_cases, verify
-from scroll_ulrich.chow import Codim2Class
+from scroll_ulrich.chow import ZERO_CODIM2, ZERO_DIVISOR, Codim2Class, mul_div_c2, mul_div_div
+from scroll_ulrich.tower import TowerBundle, tower_quotient
 from scroll_ulrich.ulrich import SWAP_TAG
 
 FULL_GRID = [
@@ -120,3 +121,50 @@ def test_each_triple_is_classified_once(monkeypatch):
     calls.clear()
     verify.run_cell_checks((0, 1, 3))
     assert calls == [ScrollParams(0, 1, 3), ScrollParams(1, 0, 3)]
+
+
+def _tower_failures():
+    rows = verify.run_tower_checks()
+    assert len(rows) == 18 and {r.check for r in rows} == {"tower-closed-forms"}
+    return [r for r in rows if not r.ok]
+
+
+def test_closed_c2_off_by_one_is_caught(monkeypatch):
+    real = verify._closed_c2
+
+    def perturbed(params, r):
+        value = real(params, r)
+        return Codim2Class(value.p, value.q, value.r + (1 if r == 3 else 0))
+
+    monkeypatch.setattr(verify, "_closed_c2", perturbed)
+    failed = _tower_failures()
+    assert len(failed) == 18 and all("Chern classes at r=3" in r.detail for r in failed)
+
+
+def test_whitney_step_mutant_is_caught(monkeypatch):
+    def mutant(params, r):
+        quotients = tuple(tower_quotient(params, i) for i in range(1, r + 1))
+        c1, c2, c3 = ZERO_DIVISOR, ZERO_CODIM2, 0
+        for q in quotients:
+            c2 = c2 + mul_div_div(c1, q, params)
+            c3 = c3 + mul_div_c2(q, c2, params)  # reads the new c2
+            c1 = c1 + q
+        return TowerBundle(r, c1, c2, c3, quotients)
+
+    monkeypatch.setattr(verify, "tower_chern", mutant)
+    failed = _tower_failures()
+    assert len(failed) == 18 and all("Chern classes at r=2" in r.detail for r in failed)
+
+
+def test_h1_recursion_step_off_by_one_is_caught(monkeypatch):
+    real = verify.tower_h1_recursion
+
+    def mutant(params, r_max):
+        values = real(params, r_max)
+        for r in range(3, r_max + 1):
+            values[r - 1] = values[r - 3] - 1 + 4  # extension step 4 instead of 3
+        return values
+
+    monkeypatch.setattr(verify, "tower_h1_recursion", mutant)
+    failed = _tower_failures()
+    assert len(failed) == 18 and all("h^1 at r=3" in r.detail for r in failed)
