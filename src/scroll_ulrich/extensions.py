@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .chow import Codim2Class, DivisorClass, ScrollParams, mul_div_div
 from .cohomology import chi, h_scroll
 from .ulrich import (
+    TAG_OTHER,
     ObstructionReport,
     UlrichLineBundleRecord,
     is_special_rank2,
@@ -196,18 +197,20 @@ def build_extension_record(
 def enumerate_cases(
     params: ScrollParams, bundles: list[UlrichLineBundleRecord]
 ) -> list[Rank2ExtensionRecord]:
-    """All ordered pairs of distinct Ulrich line bundles, sorted by case.
+    """All ordered pairs of distinct named Ulrich line bundles, sorted by case.
 
     `bundles` is the classification of `params`, i.e.
     `classify_ulrich_line_bundles(params)`; the caller computes it once and
-    may reuse it.  Pure: the check `ext-involution-orbits` of
-    `scroll-ulrich verify` certifies the case set and the transport along
-    both involutions.
+    may reuse it.  A bundle tagged "other" has no case number and is left
+    out; `scroll-ulrich verify` reports it (`ulrich-no-unnamed`).  Pure: the
+    check `ext-involution-orbits` certifies the case set and the transport
+    along both involutions.
     """
+    named = [r for r in bundles if r.tag != TAG_OTHER]
     records = [
         build_extension_record(params, s.divisor, q.divisor, s.tag, q.tag)
-        for s in bundles
-        for q in bundles
+        for s in named
+        for q in named
         if s.divisor != q.divisor
     ]
     records.sort(key=lambda r: (r.case_id, r.sub.as_tuple(), r.quotient.as_tuple()))

@@ -137,5 +137,4 @@ def moduli_dim_gap(r: int) -> int:
     """
     if r < 2:
         raise ValueError(f"gap needs r >= 2, got {r}")
-    s_prev = (r - 1) + 2 if (r - 1) % 2 else (r - 1) + 1
-    return moduli_dim_tower(r) - moduli_dim_tower(r - 1) + 1 - s_prev
+    return r - 2 if r % 2 else r + 1

@@ -15,13 +15,9 @@ bound is proved: Riemann-Roch factors as
 so chi(D - jh) = 0 for j = 1, 2, 3 forces each j to be a root of one of the
 three factors.  Each factor has at most one root in j (the last because
 c >= a + b + 1), so each must have one, and the first two have one only when
-0 <= x, y <= 2.  The certificate of that argument is `ulrich-scan-bounds` in
-verify.py.
-
-Completeness of the window is certified exactly: for each (x, y) there is a
-twist j in {1, 2, 3} making chi(D - jh) a non-constant linear polynomial in
-z, so the vanishing of all cohomology of D - jh pins z to the unique integer
-root (if any), which must land strictly inside the window.
+0 <= x, y <= 2.  The same argument puts every Ulrich z at the root of the
+last factor for some j, inside the window.  This module only scans; the
+certificate of both bounds is `ulrich-scan-bounds` in verify.py.
 """
 
 from __future__ import annotations
@@ -121,38 +117,11 @@ def z_window(params: ScrollParams) -> range:
     return range(-(a + b + 2) - 3 * c - 2, 4 * c + a + b + 2 + 1)
 
 
-def pinned_z(params: ScrollParams, x: int, y: int) -> int | None:
-    """The only z that could make (x, y, z) Ulrich, or None.
-
-    Pick j in {1, 2, 3} with (x+1-j)(y+1-j) != 0; such a j always exists for
-    0 <= x, y <= 2.  chi(D - jh) is then linear in z with that slope, and
-    Ulrichness forces chi(D - jh) = 0, so z is the unique integer root of
-
-        m * (z - jc + 1) = K,   m = (x')(y'), x' = x - j + 1, y' = y - j + 1,
-
-    where K collects the constant part of the Riemann-Roch polynomial at
-    (x - j, y - j).  Returns None when the root is not an integer.
-    """
-    a, b, c = params.a, params.b, params.c
-    for j in (1, 2, 3):
-        xp, yp = x - j, y - j
-        m = (xp + 1) * (yp + 1)
-        if m != 0:
-            break
-    else:  # pragma: no cover - impossible for 0 <= x, y <= 2
-        raise AssertionError(f"no pinning twist for (x, y) = ({x}, {y})")
-    k = b * (yp + 1) * (xp * (xp + 1) // 2) + a * (xp + 1) * (yp * (yp + 1) // 2)
-    if k % m != 0:
-        return None
-    return k // m - 1 + j * c
-
-
 def classify_ulrich_line_bundles(params: ScrollParams) -> list[UlrichLineBundleRecord]:
-    """The complete list of Ulrich line bundles on (X, h), tagged.
+    """The Ulrich line bundles on (X, h), tagged, in (x, y, z) order.
 
-    Exhaustive scan over 0 <= x, y <= 2 and the z-window, certified complete
-    by the chi-pinning argument: any hit must sit at the pinned z of its
-    (x, y) row, and every pinned z lies strictly inside the window.
+    Exhaustive scan over 0 <= x, y <= 2 and the z-window; `scroll-ulrich
+    verify` certifies that no Ulrich bundle lies outside it.
     """
     forms = named_line_bundles(params)
     by_triple = {d.as_tuple(): tag for tag, d in forms.items()}
@@ -160,24 +129,11 @@ def classify_ulrich_line_bundles(params: ScrollParams) -> list[UlrichLineBundleR
     records = []
     for x in range(3):
         for y in range(3):
-            pin = pinned_z(params, x, y)
-            if pin is not None and not (window.start < pin < window.stop - 1):
-                raise AssertionError(
-                    f"pinned z = {pin} for row ({x}, {y}) escapes the scan window at {params}"
-                )
             for z in window:
                 div = DivisorClass(x, y, z)
-                if not is_ulrich_line(params, div):
-                    continue
-                if z != pin:
-                    raise AssertionError(
-                        f"Ulrich bundle {div.as_tuple()} off the pinned z = {pin} at {params}"
-                    )
-                tag = by_triple.get(div.as_tuple(), TAG_OTHER)
-                records.append(
-                    UlrichLineBundleRecord(div, tag, ulrich_dual(params, div))
-                )
-    records.sort(key=lambda r: r.divisor.as_tuple())
+                if is_ulrich_line(params, div):
+                    tag = by_triple.get(div.as_tuple(), TAG_OTHER)
+                    records.append(UlrichLineBundleRecord(div, tag, ulrich_dual(params, div)))
     return records
 
 

@@ -5,11 +5,13 @@ command renders them and sets the exit code.  Cell checks run per parameter
 triple, one cell after another in one process; the fixed-grid checks
 (cohomology box at representative parameters, tower, instanton) run once.
 
-The library computes and this module checks: the O(1) scan-bound
-certificate (`ulrich-scan-bounds`), the involution transport of the
-extension records (`ext-involution-orbits`) and the closed forms of the
-extension tower with their certificate (`tower-closed-forms`) live only
-here.
+The library computes and this module checks.  These live only here: the
+O(1) certificate that the classification scan misses no Ulrich bundle,
+both its x, y bound and its z-window (`ulrich-scan-bounds`, with the one
+copy of the L_j root), the involution transport of the extension records
+(`ext-involution-orbits`), and the closed forms of the extension tower
+with their certificate (`tower-closed-forms`, with the one copy of the
+h^1 closed form).
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .ulrich import (
     named_line_bundles,
     slope,
     ulrich_dual,
+    z_window,
 )
 
 Bundles = list[UlrichLineBundleRecord]
@@ -95,14 +98,25 @@ class _Collector:
         self.check(name, got == want, f"got {got}, want {want}" if got != want else "")
 
 
-def verify_scan_bounds(params: ScrollParams) -> bool:
-    """Certify the classification bound 0 <= x, y <= 2 in O(1), whatever c is.
+def _l_root(params: ScrollParams, x: int, y: int, j: int) -> int:
+    """The root in z of L_j (verify_scan_bounds), rounded down at a half-integer."""
+    a, b, c = params.a, params.b, params.c
+    return (b * x + a * y - 2 - j * (a + b - 2 * c)) // 2
 
-    The proof is in the ulrich module docstring: 2 chi(D - jh) factors as
-    (x-j+1)(y-j+1) L_j with L_j = 2z + 2 - bx - ay + j(a+b-2c).  Checked here:
-    the factorization against chi_closed_form at 4 points per variable, the
-    nonzero step a+b-2c, and is_ulrich_line rejecting the L_j root (rounded
-    down at a half-integer) of each border row for j = 1, 2, 3: 36 calls.
+
+def verify_scan_bounds(params: ScrollParams) -> bool:
+    """Certify in O(1), whatever c is, that the classification scan is complete.
+
+    2 chi(D - jh) factors as (x-j+1)(y-j+1) L_j with L_j = 2z + 2 - bx - ay
+    + j(a+b-2c).  L_j moves by a+b-2c != 0 per step of j, so it vanishes for
+    at most one j, as do the other two factors; an Ulrich D needs all three
+    j, so 0 <= x, y <= 2 and z is the root of L_j for some j.  The window:
+    2 root = 2jc - 2 + b(x - j) + a(y - j), and with c >= a + b + 1 every
+    root lies in [0, 3c - 1], strictly inside z_window = [-3c - a - b - 4,
+    4c + a + b + 2].  Checked here: the factorization against
+    chi_closed_form at 4 points per variable, the nonzero step, each of the
+    27 roots for 0 <= x, y <= 2 strictly inside z_window, and is_ulrich_line
+    rejecting the L_j root of each border row for j = 1, 2, 3: 36 calls.
     """
     a, b, c = params.a, params.b, params.c
     grid = range(4)
@@ -111,11 +125,15 @@ def verify_scan_bounds(params: ScrollParams) -> bool:
         == (x + 1) * (y + 1) * (2 * z + 2 - b * x - a * y)
         for x in grid for y in grid for z in grid
     )
-    step = a + b - 2 * c
+    window = z_window(params)
+    inside = all(
+        window.start < _l_root(params, x, y, j) < window.stop - 1
+        for x in range(3) for y in range(3) for j in (1, 2, 3)
+    )
     border = [(x, y) for x in (-1, 3) for y in range(3)]
     border += [(x, y) for y in (-1, 3) for x in range(3)]
-    return factored and step != 0 and not any(
-        is_ulrich_line(params, DivisorClass(x, y, (b * x + a * y - 2 - j * step) // 2))
+    return factored and a + b - 2 * c != 0 and inside and not any(
+        is_ulrich_line(params, DivisorClass(x, y, _l_root(params, x, y, j)))
         for x, y in border for j in (1, 2, 3)
     )
 
@@ -474,7 +492,8 @@ def _check_tower(params: ScrollParams):
     n_dual, n = tower_pair(params)
     expect("h^1 seeds", (h_scroll(params, n_dual - n).h1, h_scroll(params, n - n_dual).h1), (3, 3))
     h1 = tower_h1_recursion(params, TOWER_RANKS)
-    mu = Fraction(4 * (2 * params.c - params.b - params.a) - 2)
+    _, d, g = numerical_invariants(params)
+    mu = Fraction(d + g - 1)
     for r in range(1, TOWER_RANKS + 1):
         odd = r % 2
         tw = tower_chern(params, r)
@@ -491,7 +510,8 @@ def _check_tower(params: ScrollParams):
         expect(f"h^1 at r={r}", h1[r - 1], r + 2 if odd else r + 1)
         expect(f"h^1 vs h^0 - chi at r={r}", h1[r - 1], (0 if odd else 1) - chi_next)
         if r >= 2:
-            expect(f"gap at r={r}", moduli_dim_gap(r), r - 2 if odd else r + 1)
+            expect(f"gap at r={r}", moduli_dim_gap(r),
+                   moduli_dim_tower(r) - moduli_dim_tower(r - 1) + 1 - h1[r - 2])
 
 
 def run_tower_checks() -> list[CheckResult]:

@@ -20,8 +20,8 @@ from scroll_ulrich import (
     slope,
     ulrich_dual,
 )
-from scroll_ulrich.ulrich import expected_count, pinned_z, z_window
-from scroll_ulrich.verify import verify_scan_bounds
+from scroll_ulrich.ulrich import expected_count, z_window
+from scroll_ulrich.verify import _l_root, verify_scan_bounds
 
 GRID = [
     (a, b, c)
@@ -132,11 +132,12 @@ def test_scan_bound_reverification():
         assert verify_scan_bounds(ScrollParams(*cell))
 
 
-def test_pinned_z_matches_named_forms():
+def test_l_root_matches_named_forms():
     for cell in GRID:
         p = ScrollParams(*cell)
         for tag, d in named_line_bundles(p).items():
-            assert pinned_z(p, d.x, d.y) == d.z
+            (j,) = {1, 2, 3} - {d.x + 1, d.y + 1}
+            assert _l_root(p, d.x, d.y, j) == d.z
 
 
 def test_slope_values_and_errors():

@@ -1,18 +1,32 @@
 """The certificates that live only in verify, with negative controls.
 
 Each control patches a real defect into the code a check reads and asserts
-that the named check of run_cell_checks or run_tower_checks catches it.
+that the named check of run_cell_checks or run_tower_checks catches it; the
+controls of the library layers run `verify` through the CLI, which must
+exit 1 with the ledger on stdout, not crash.
 """
 
 import dataclasses
+import json
 import sys
 
 import pytest
 
 from scroll_ulrich import ScrollParams, classify_ulrich_line_bundles, enumerate_cases, verify
-from scroll_ulrich.chow import ZERO_CODIM2, ZERO_DIVISOR, Codim2Class, mul_div_c2, mul_div_div
+from scroll_ulrich import cohomology, extensions, ulrich
+from scroll_ulrich.chow import (
+    ZERO_CODIM2,
+    ZERO_DIVISOR,
+    Codim2Class,
+    DivisorClass,
+    mul_div_c2,
+    mul_div_div,
+)
+from scroll_ulrich.cli import EXIT_VERIFY_FAILED, main
 from scroll_ulrich.tower import TowerBundle, tower_quotient
 from scroll_ulrich.ulrich import SWAP_TAG
+
+F = DivisorClass(0, 0, 1)  # the fibre class: adds one to z
 
 FULL_GRID = [
     (a, b, c)
@@ -103,6 +117,15 @@ def test_scan_bound_certificate_is_constant_size(monkeypatch, c):
     assert len(calls) == 36
 
 
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Replace `original` under every scroll_ulrich module name bound to it."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("scroll_ulrich") and (
+            getattr(module, original.__name__, None) is original
+        ):
+            monkeypatch.setattr(module, original.__name__, replacement)
+
+
 def test_each_triple_is_classified_once(monkeypatch):
     calls = []
 
@@ -110,12 +133,7 @@ def test_each_triple_is_classified_once(monkeypatch):
         calls.append(params)
         return classify_ulrich_line_bundles(params)
 
-    # wrap it under every module name it is bound to
-    for name, module in list(sys.modules.items()):
-        if name.startswith("scroll_ulrich") and (
-            getattr(module, "classify_ulrich_line_bundles", None) is classify_ulrich_line_bundles
-        ):
-            monkeypatch.setattr(module, "classify_ulrich_line_bundles", counted)
+    _patch_everywhere(monkeypatch, classify_ulrich_line_bundles, counted)
     verify.run_cell_checks((0, 0, 2))
     assert calls == [ScrollParams(0, 0, 2)]
     calls.clear()
@@ -168,3 +186,58 @@ def test_h1_recursion_step_off_by_one_is_caught(monkeypatch):
     monkeypatch.setattr(verify, "tower_h1_recursion", mutant)
     failed = _tower_failures()
     assert len(failed) == 18 and all("h^1 at r=3" in r.detail for r in failed)
+
+
+def _cli_failures(cell, capsys) -> set[str]:
+    """The checks `verify` fails at `cell`, run through the CLI: exit 1, no crash."""
+    a, b, c = cell
+    code = main(["verify", "--a", str(a), "--b", str(b), "--c", str(c)])
+    captured = capsys.readouterr()
+    assert code == EXIT_VERIFY_FAILED
+    assert not any(line.startswith("internal error") for line in captured.err.splitlines())
+    report = json.loads(captured.out)
+    assert any(t["name"] == "ledger" for t in report["tables"])
+    checks = next(t for t in report["tables"] if t["name"] == "checks")
+    return {row[3] for row in checks["rows"] if tuple(row[:3]) == cell and row[4] == "FAIL"}
+
+
+def test_classify_accepting_n_z_plus_one_is_caught(monkeypatch, capsys):
+    original = ulrich.is_ulrich_line
+    named = ulrich.named_line_bundles
+    monkeypatch.setattr(
+        ulrich, "is_ulrich_line", lambda p, d: original(p, d) or d == named(p)["N"] + F
+    )
+    assert {"ulrich-count", "ulrich-no-unnamed"} <= _cli_failures((0, 1, 3), capsys)
+
+
+def test_z_window_below_n_is_caught(monkeypatch, capsys):
+    original = ulrich.z_window
+    named = ulrich.named_line_bundles
+    _patch_everywhere(
+        monkeypatch, original, lambda p: range(original(p).start, named(p)["N"].z)
+    )
+    assert {"ulrich-scan-bounds", "ulrich-count"} <= _cli_failures((0, 1, 3), capsys)
+
+
+def test_named_n_z_plus_one_is_caught(monkeypatch, capsys):
+    original = ulrich.named_line_bundles
+
+    def mutant(params):
+        forms = original(params)
+        forms["N"] = forms["N"] + F
+        return forms
+
+    _patch_everywhere(monkeypatch, original, mutant)
+    assert {"ulrich-closed-forms", "ulrich-no-unnamed"} <= _cli_failures((0, 1, 3), capsys)
+
+
+def test_chi_closed_form_plus_one_is_caught(monkeypatch, capsys):
+    original = cohomology.chi_closed_form
+    _patch_everywhere(monkeypatch, original, lambda p, d: original(p, d) + 1)
+    assert {"cohomology-chi-oracle", "ulrich-scan-bounds"} <= _cli_failures((0, 1, 3), capsys)
+
+
+def test_ext1_dim_reversed_is_caught(monkeypatch, capsys):
+    original = extensions.ext1_dim
+    _patch_everywhere(monkeypatch, original, lambda p, u, v: original(p, v, u))
+    assert {"ext-N-NU", "ext-NU-N"} <= _cli_failures((1, 2, 4), capsys)
