@@ -15,12 +15,18 @@ and, forced by the relations above, C0^2.F = C0.F^2 = 0).
 
 All arithmetic is exact over the integers; Python integers never overflow,
 so the checked-width concern of a fixed-size implementation does not arise.
+
+DivisorClass and Codim2Class are NamedTuples with class arithmetic: +, -,
+unary - and integer scaling on either side, never tuple concatenation or
+repetition.  As tuples they compare equal to the plain tuple of their
+coefficients, so DivisorClass(1, 2, 3) == Codim2Class(1, 2, 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -59,8 +65,7 @@ class ScrollParams:
         return ScrollParams(self.b, self.a, self.c)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple):
     """x*xi + y*C0 + z*F with integer coefficients."""
 
     x: int
@@ -82,11 +87,10 @@ class DivisorClass:
     __rmul__ = __mul__
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.z)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class Codim2Class:
+class Codim2Class(NamedTuple):
     """p*xi.C0 + q*xi.F + r*C0.F with integer coefficients."""
 
     p: int
@@ -108,7 +112,7 @@ class Codim2Class:
     __rmul__ = __mul__
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.p, self.q, self.r)
+        return tuple(self)
 
     def swapped(self) -> "Codim2Class":
         """The same class in the basis of the F_b scroll structure.

@@ -186,16 +186,17 @@ def _cohomology_checks(col: _Collector, params: ScrollParams, span: int = 3):
             for z in range(-zmax, zmax + 1):
                 div = DivisorClass(x, y, z)
                 vec = h_scroll(params, div)
-                if vec.chi != chi_closed_form(params, div):
+                h0, h1, h2, h3 = vec
+                if h0 - h1 + h2 - h3 != chi_closed_form(params, div):
                     ok_chi = False
                     bad = bad or f"chi mismatch at {div.as_tuple()}"
-                if vec.reversed() != h_scroll(params, serre_dual(params, div)):
+                if (h3, h2, h1, h0) != h_scroll(params, serre_dual(params, div)):
                     ok_serre = False
                     bad = bad or f"serre mismatch at {div.as_tuple()}"
-                if x == -1 and not vec.is_zero():
+                if x == -1 and any(vec):
                     ok_strip = False
                     bad = bad or f"strip violated at {div.as_tuple()}"
-                if min(vec.as_tuple()) < 0 or (x >= 0 and vec.h3 != 0):
+                if min(vec) < 0 or (x >= 0 and h3 != 0):
                     ok_pos = False
                     bad = bad or f"degree bound violated at {div.as_tuple()}"
     col.check("cohomology-chi-oracle", ok_chi, bad if not ok_chi else "")

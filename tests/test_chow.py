@@ -131,6 +131,27 @@ def test_params_validation():
         ScrollParams(1, 1, 2)
 
 
+def test_tuple_backed_classes_keep_class_semantics():
+    d, e = DivisorClass(1, 2, 3), DivisorClass(-4, 0, 5)
+    assert 2 * d == d * 2 == d + d == DivisorClass(2, 4, 6)
+    assert type(2 * d) is type(d * 2) is type(d + d) is DivisorClass
+    assert -d == DivisorClass(-1, -2, -3) and d - e == DivisorClass(5, 2, -2)
+    assert repr(d) == "DivisorClass(x=1, y=2, z=3)"
+    s, t = Codim2Class(1, 2, 3), Codim2Class(0, -1, 7)
+    assert 3 * s == s * 3 == s + s + s == Codim2Class(3, 6, 9)
+    assert -s == Codim2Class(-1, -2, -3) and s - t == Codim2Class(1, 3, -4)
+    assert s.swapped() == Codim2Class(1, 3, 2) and type(s.swapped()) is Codim2Class
+    assert repr(s) == "Codim2Class(p=1, q=2, r=3)"
+    with pytest.raises(AttributeError):
+        d.x = 0
+    with pytest.raises(AttributeError):
+        s.q = 0
+    assert hash(d) == hash(DivisorClass(1, 2, 3)) and {d: "d"}[DivisorClass(1, 2, 3)] == "d"
+    assert hash(s) == hash(Codim2Class(1, 2, 3))
+    # the one change from the dataclass form: equality is by coefficients alone
+    assert d == (1, 2, 3) == s and d.as_tuple() == s.as_tuple() == (1, 2, 3)
+
+
 def test_derived_classes_are_kept_and_leave_equality_alone():
     p = ScrollParams(1, 2, 4)
     assert p.h is p.h and p.canonical is p.canonical

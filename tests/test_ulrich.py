@@ -127,6 +127,21 @@ def test_swap_invariance_of_predicate():
                     assert is_ulrich_line(p, d) == is_ulrich_line(q, e)
 
 
+def test_predicate_matches_object_route():
+    # the coordinate read of the cache against h_scroll on D - jh built as classes
+    for a in range(3):
+        for b in range(3):
+            for c in range(a + b + 1, a + b + 4):
+                p = ScrollParams(a, b, c)
+                for x in range(-2, 5):
+                    for y in range(-2, 5):
+                        for z in z_window(p):
+                            d = DivisorClass(x, y, z)
+                            assert is_ulrich_line(p, d) == all(
+                                h_scroll(p, d - j * p.h).is_zero() for j in (1, 2, 3)
+                            )
+
+
 def test_scan_bound_reverification():
     for cell in [(0, 0, 1), (0, 2, 3), (1, 1, 3), (2, 3, 6)]:
         assert verify_scan_bounds(ScrollParams(*cell))

@@ -241,3 +241,32 @@ def test_ext1_dim_reversed_is_caught(monkeypatch, capsys):
     original = extensions.ext1_dim
     _patch_everywhere(monkeypatch, original, lambda p, u, v: original(p, v, u))
     assert {"ext-N-NU", "ext-NU-N"} <= _cli_failures((1, 2, 4), capsys)
+
+
+def test_serre_dual_plus_f_is_caught(monkeypatch, capsys):
+    original = verify.serre_dual
+    monkeypatch.setattr(verify, "serre_dual", lambda p, d: original(p, d) + F)
+    assert "cohomology-serre-duality" in _cli_failures((0, 1, 3), capsys)
+
+
+def test_h1_on_the_vanishing_strip_is_caught(monkeypatch, capsys):
+    original = verify.h_scroll
+
+    def mutant(params, div):
+        if div.x == -1 and div.z == 0:
+            return cohomology.CohomologyVector(0, 1, 0, 0)
+        return original(params, div)
+
+    monkeypatch.setattr(verify, "h_scroll", mutant)
+    assert "cohomology-vanishing-strip" in _cli_failures((0, 1, 3), capsys)
+
+
+def test_h3_of_an_effective_class_is_caught(monkeypatch, capsys):
+    original = verify.h_scroll
+
+    def mutant(params, div):
+        vec = original(params, div)
+        return vec._replace(h3=1) if div.as_tuple() == (1, 1, 1) else vec
+
+    monkeypatch.setattr(verify, "h_scroll", mutant)
+    assert "cohomology-degree-bounds" in _cli_failures((0, 1, 3), capsys)
