@@ -32,7 +32,6 @@ depend on the cache; it serves the classification scans and the tower
 report, which re-query a few small classes many times.  The cache holds the
 immutable CohomologyVector itself and h_scroll hands that same object to
 every caller, so a hit builds nothing and a miss builds one vector.
-`ulrich.is_ulrich_line` reads `_h_scroll` by coordinates, not h_scroll.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chow import Codim2Class, DivisorClass, ScrollParams, triple
-from .cohomology import ZERO_COHOMOLOGY, _h_scroll
+from .cohomology import ZERO_COHOMOLOGY, h_scroll
 
 TAG_N = "N"
 TAG_N_DUAL = "N_dual"
@@ -70,13 +70,13 @@ class UlrichLineBundleRecord:
 def is_ulrich_line(params: ScrollParams, div: DivisorClass) -> bool:
     """True iff h^*(D - jh) = 0 for j = 1, 2, 3.
 
-    Reads `_h_scroll`, the one scroll-layer cache, at the coordinates of
-    D - jh and stops at the first nonzero vector; it builds no class.
+    Builds D - jh from the coordinates of D (h = xi + C0 + cF) and stops at
+    the first nonzero vector.
     """
-    a, b, c = params.a, params.b, params.c
+    c = params.c
     x, y, z = div
     for j in (1, 2, 3):
-        if _h_scroll(a, b, x - j, y - j, z - j * c) != ZERO_COHOMOLOGY:
+        if h_scroll(params, DivisorClass(x - j, y - j, z - j * c)) != ZERO_COHOMOLOGY:
             return False
     return True
 

@@ -128,7 +128,7 @@ def test_swap_invariance_of_predicate():
 
 
 def test_predicate_matches_object_route():
-    # the coordinate read of the cache against h_scroll on D - jh built as classes
+    # D - jh built from coordinates against D - jh built by class arithmetic
     for a in range(3):
         for b in range(3):
             for c in range(a + b + 1, a + b + 4):
