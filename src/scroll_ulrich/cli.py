@@ -14,11 +14,12 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .chow import DivisorClass, ScrollParams, mul_div_c2, mul_div_div, numerical_invariants
 from .cohomology import chi_closed_form, h_scroll, serre_dual
-from .extensions import InapplicableCaseError, enumerate_cases, instanton_admissible, moduli_prediction
+from .extensions import enumerate_cases, instanton_admissible, moduli_prediction
 from .tower import (
     chi_endo_tower,
     in_tower_hypothesis,
@@ -132,25 +133,31 @@ def _div(text: str) -> DivisorClass:
     return DivisorClass(*parse_triple(text))
 
 
-def _cells(args) -> list[dict]:
-    """Grid cells with validity and optional a <= b normalization applied."""
-    a_range = parse_range(args.a)
-    b_range = parse_range(args.b)
-    cells = []
+def _params(text: str) -> ScrollParams:
+    """--params 'a,b,c'; a triple outside the valid range is a config error."""
+    try:
+        return ScrollParams(*parse_triple(text))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _cells(args) -> Iterator[tuple[int, int, int, ScrollParams | None, bool]]:
+    """Grid cells (a, b, c, params, normalized), with a <= b if --normalize.
+
+    `params` is None where ScrollParams rejects the triple.
+    """
+    a_range, b_range = parse_range(args.a), parse_range(args.b)
     for a in a_range:
         for b in b_range:
             c_range = parse_range(args.c) if args.c else range(a + b + 1, a + b + 7)
+            normalized = args.normalize and a > b
+            aa, bb = (b, a) if normalized else (a, b)
             for c in c_range:
-                aa, bb, normalized = a, b, False
-                if getattr(args, "normalize", False) and a > b:
-                    aa, bb, normalized = b, a, True
-                valid = aa >= 0 and bb >= 0 and c >= aa + bb + 1
-                cells.append(
-                    {"a": aa, "b": bb, "c": c, "normalized": normalized, "valid": valid}
-                )
-    if not cells:
-        raise ConfigError("empty grid")
-    return cells
+                try:
+                    params = ScrollParams(aa, bb, c)
+                except ValueError:
+                    params = None
+                yield aa, bb, c, params, normalized
 
 
 def _div_str(d: DivisorClass) -> str:
@@ -163,15 +170,13 @@ def cmd_classify(args) -> tuple[Report, int]:
         ["a", "b", "c", "status", "tag", "divisor", "dual_tag", "dual", "h0", "slope"],
     )
     counted = skipped = 0
-    cells = _cells(args)
-    for cell in cells:
-        a, b, c = cell["a"], cell["b"], cell["c"]
-        if not cell["valid"]:
+    cells = list(_cells(args))
+    for a, b, c, params, normalized in cells:
+        if params is None:
             table.rows.append([a, b, c, "skipped", "", "", "", "", "", ""])
             skipped += 1
             continue
-        params = ScrollParams(a, b, c)
-        status = "normalized" if cell["normalized"] else "ok"
+        status = "normalized" if normalized else "ok"
         for rec in classify_ulrich_line_bundles(params):
             table.rows.append(
                 [
@@ -190,11 +195,7 @@ def cmd_classify(args) -> tuple[Report, int]:
 
 
 def cmd_cohom(args) -> tuple[Report, int]:
-    a, b, c = parse_triple(args.params)
-    try:
-        params = ScrollParams(a, b, c)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = _params(args.params)
     div = _div(args.div)
     vec = h_scroll(params, div)
     dual = serre_dual(params, div)
@@ -208,7 +209,7 @@ def cmd_cohom(args) -> tuple[Report, int]:
         ],
     )
     meta = {
-        "a": a, "b": b, "c": c,
+        "a": params.a, "b": params.b, "c": params.c,
         "serre_dual": _div_str(dual),
         "serre_reversal_ok": vec.reversed() == dual_vec,
     }
@@ -216,11 +217,7 @@ def cmd_cohom(args) -> tuple[Report, int]:
 
 
 def cmd_chow(args) -> tuple[Report, int]:
-    a, b, c = parse_triple(args.params)
-    try:
-        params = ScrollParams(a, b, c)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = _params(args.params)
     d1, d2 = _div(args.d1), _div(args.d2)
     prod = mul_div_div(d1, d2, params)
     table = Table("products", ["expression", "value"])
@@ -229,7 +226,7 @@ def cmd_chow(args) -> tuple[Report, int]:
         d3 = _div(args.d3)
         table.rows.append(["d1.d2.d3", mul_div_c2(d3, prod, params)])
     n, d, g = numerical_invariants(params)
-    meta = {"a": a, "b": b, "c": c, "n": n, "degree": d, "genus": g}
+    meta = {"a": params.a, "b": params.b, "c": params.c, "n": n, "degree": d, "genus": g}
     return Report("chow", meta, [table]), EXIT_OK
 
 
@@ -248,12 +245,10 @@ def cmd_ext_table(args) -> tuple[Report, int]:
         ["a", "b", "c", "case", "kind", "dimension", "generically_smooth", "special", "note"],
     )
     skipped = 0
-    for cell in _cells(args):
-        a, b, c = cell["a"], cell["b"], cell["c"]
-        if not cell["valid"]:
+    for a, b, c, params, _ in _cells(args):
+        if params is None:
             skipped += 1
             continue
-        params = ScrollParams(a, b, c)
         recs = enumerate_cases(params, classify_ulrich_line_bundles(params))
         for r in recs:
             records.rows.append(
@@ -269,10 +264,7 @@ def cmd_ext_table(args) -> tuple[Report, int]:
                 ]
             )
         for case_id in sorted({r.case_id for r in recs}):
-            try:
-                p = moduli_prediction(params, case_id)
-            except InapplicableCaseError:
-                continue
+            p = moduli_prediction(params, case_id)
             predictions.rows.append(
                 [
                     a, b, c, case_id, p.dimension_kind, p.dimension,
@@ -293,12 +285,10 @@ def cmd_tower_report(args) -> tuple[Report, int]:
     )
     h1_table = Table("tower-h1", ["a", "b", "c", "r", "h1"])
     skipped = 0
-    for cell in _cells(args):
-        a, b, c = cell["a"], cell["b"], cell["c"]
-        if not cell["valid"]:
+    for a, b, c, params, _ in _cells(args):
+        if params is None:
             skipped += 1
             continue
-        params = ScrollParams(a, b, c)
         inside = in_tower_hypothesis(params)
         for r in range(1, args.rmax + 1):
             tw = tower_chern(params, r)
@@ -337,14 +327,9 @@ def cmd_instanton(args) -> tuple[Report, int]:
 
 
 def cmd_verify(args) -> tuple[Report, int]:
-    cells = [
-        (cell["a"], cell["b"], cell["c"])
-        for cell in _cells(args)
-        if cell["valid"]
-    ]
+    cells = sorted({(a, b, c) for a, b, c, params, _ in _cells(args) if params is not None})
     if not cells:
         raise ConfigError("no valid cells in the grid")
-    cells = sorted(set(cells))
 
     results = []
     for cell in cells:

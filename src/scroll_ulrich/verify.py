@@ -1,9 +1,13 @@
 """Grid verification: replays every numeric claim the library is built on.
 
 Each check returns rows (a, b, c, check, status, detail); the CLI verify
-command renders them and sets the exit code.  Cell checks run per parameter
-triple, one cell after another in one process; the fixed-grid checks
-(cohomology box at representative parameters, tower, instanton) run once.
+command renders them and sets the exit code.  A claim of one part is one
+`check` or `equal` row; a claim of many parts is a generator of failure
+messages, which `_Collector.first` turns into one row that fails with the
+first message, so a defect fails a row and never stops the run.  Cell
+checks run per parameter triple, one cell after another in one process; the
+fixed-grid checks (cohomology box at representative parameters, tower,
+instanton) run once.
 
 The library computes and this module checks.  These live only here: the
 O(1) certificate that the classification scan misses no Ulrich bundle,
@@ -16,6 +20,7 @@ h^1 closed form).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,6 +101,11 @@ class _Collector:
 
     def equal(self, name: str, got, want):
         self.check(name, got == want, f"got {got}, want {want}" if got != want else "")
+
+    def first(self, name: str, failures: Iterable[str]):
+        """One row for a claim of many parts; reads `failures` up to its first message."""
+        detail = next(iter(failures), "")
+        self.check(name, not detail, detail)
 
 
 def _l_root(params: ScrollParams, x: int, y: int, j: int) -> int:
@@ -178,8 +188,7 @@ def _chow_checks(col: _Collector, params: ScrollParams):
 
 
 def _cohomology_checks(col: _Collector, params: ScrollParams, span: int = 3):
-    ok_chi = ok_serre = ok_strip = ok_pos = True
-    bad = ""
+    failed: dict[str, list[str]] = {}  # check name -> [its first failure]
     zmax = params.c + 4
     for x in range(-span, span + 1):
         for y in range(-span, span + 1):
@@ -188,21 +197,20 @@ def _cohomology_checks(col: _Collector, params: ScrollParams, span: int = 3):
                 vec = h_scroll(params, div)
                 h0, h1, h2, h3 = vec
                 if h0 - h1 + h2 - h3 != chi_closed_form(params, div):
-                    ok_chi = False
-                    bad = bad or f"chi mismatch at {div.as_tuple()}"
+                    failed.setdefault("cohomology-chi-oracle",
+                                      [f"chi mismatch at {div.as_tuple()}"])
                 if (h3, h2, h1, h0) != h_scroll(params, serre_dual(params, div)):
-                    ok_serre = False
-                    bad = bad or f"serre mismatch at {div.as_tuple()}"
+                    failed.setdefault("cohomology-serre-duality",
+                                      [f"serre mismatch at {div.as_tuple()}"])
                 if x == -1 and any(vec):
-                    ok_strip = False
-                    bad = bad or f"strip violated at {div.as_tuple()}"
+                    failed.setdefault("cohomology-vanishing-strip",
+                                      [f"strip violated at {div.as_tuple()}"])
                 if min(vec) < 0 or (x >= 0 and h3 != 0):
-                    ok_pos = False
-                    bad = bad or f"degree bound violated at {div.as_tuple()}"
-    col.check("cohomology-chi-oracle", ok_chi, bad if not ok_chi else "")
-    col.check("cohomology-serre-duality", ok_serre, bad if not ok_serre else "")
-    col.check("cohomology-vanishing-strip", ok_strip, bad if not ok_strip else "")
-    col.check("cohomology-degree-bounds", ok_pos, bad if not ok_pos else "")
+                    failed.setdefault("cohomology-degree-bounds",
+                                      [f"degree bound violated at {div.as_tuple()}"])
+    for name in ("cohomology-chi-oracle", "cohomology-serre-duality",
+                 "cohomology-vanishing-strip", "cohomology-degree-bounds"):
+        col.first(name, failed.get(name, ()))
 
 
 def _expected_cases(params: ScrollParams) -> set[int]:
@@ -210,8 +218,10 @@ def _expected_cases(params: ScrollParams) -> set[int]:
     return {case for pair, case in CASE_OF_PAIR.items() if pair <= tags}
 
 
-def _check_involution_orbits(params: ScrollParams, records: Records, swapped_records: Records):
-    """Raise AssertionError unless the case set and both involution transports hold.
+def _check_involution_orbits(
+    params: ScrollParams, records: Records, swapped_records: Records
+) -> Iterator[str]:
+    """Yield a message for each failure of the case set or of an involution transport.
 
     `records`, `swapped_records`: enumerate_cases of params and params.swapped().
     """
@@ -220,40 +230,44 @@ def _check_involution_orbits(params: ScrollParams, records: Records, swapped_rec
     seen_cases = {r.case_id for r in records}
     expected = _expected_cases(params)
     if seen_cases != expected:
-        raise AssertionError(
-            f"cases {sorted(seen_cases)} != expected {sorted(expected)} at {params}"
-        )
+        yield f"cases {sorted(seen_cases)} != expected {sorted(expected)} at {params}"
 
     kx4h = params.canonical + 4 * params.h
     for r in records:
         # Ulrich duality: Ext^1(A, B) = Ext^1(B^U, A^U).
-        image = by_pair[
+        image = by_pair.get(
             (ulrich_dual(params, r.quotient).as_tuple(), ulrich_dual(params, r.sub).as_tuple())
-        ]
+        )
+        if image is None:
+            yield f"dual image of case {r.case_id} missing at {params}"
+            continue
         if ORBIT_REPRESENTATIVE[image.case_id] != ORBIT_REPRESENTATIVE[r.case_id]:
-            raise AssertionError(f"dual image of case {r.case_id} leaves its orbit")
+            yield f"dual image of case {r.case_id} leaves its orbit"
         if image.ext_dim != r.ext_dim:
-            raise AssertionError(f"ext^1 not preserved by Ulrich duality at {params}")
+            yield f"ext^1 not preserved by Ulrich duality at {params}"
         if image.c1 != 2 * kx4h - r.c1:
-            raise AssertionError(f"c1 not transported by Ulrich duality at {params}")
+            yield f"c1 not transported by Ulrich duality at {params}"
         if image.c2 != mul_div_div(kx4h, kx4h, params) - mul_div_div(kx4h, r.c1, params) + r.c2:
-            raise AssertionError(f"c2 not transported by Ulrich duality at {params}")
+            yield f"c2 not transported by Ulrich duality at {params}"
 
     # Base swap: compare against the records of the swapped scroll structure.
     swapped_by_pair = {(r.sub.as_tuple(), r.quotient.as_tuple()): r for r in swapped_records}
     for r in records:
         key = ((r.sub.y, r.sub.x, r.sub.z), (r.quotient.y, r.quotient.x, r.quotient.z))
-        image = swapped_by_pair[key]
+        image = swapped_by_pair.get(key)
+        if image is None:
+            yield f"swap image of case {r.case_id} missing at {params}"
+            continue
         if ORBIT_REPRESENTATIVE[image.case_id] != ORBIT_REPRESENTATIVE[r.case_id]:
-            raise AssertionError(f"swap image of case {r.case_id} leaves its orbit")
+            yield f"swap image of case {r.case_id} leaves its orbit"
         if image.sub_tag != SWAP_TAG[r.sub_tag] or image.quot_tag != SWAP_TAG[r.quot_tag]:
-            raise AssertionError(f"swap tags wrong for case {r.case_id} at {params}")
+            yield f"swap tags wrong for case {r.case_id} at {params}"
         if image.ext_dim != r.ext_dim:
-            raise AssertionError(f"ext^1 not preserved by the base swap at {params}")
+            yield f"ext^1 not preserved by the base swap at {params}"
         if image.c1.as_tuple() != (r.c1.y, r.c1.x, r.c1.z):
-            raise AssertionError(f"c1 not transported by the base swap at {params}")
+            yield f"c1 not transported by the base swap at {params}"
         if image.c2 != r.c2.swapped():
-            raise AssertionError(f"c2 not transported by the base swap at {params}")
+            yield f"c2 not transported by the base swap at {params}"
 
 
 def _ext_checks(col: _Collector, params: ScrollParams, records: Records, swapped_records: Records):
@@ -277,11 +291,7 @@ def _ext_checks(col: _Collector, params: ScrollParams, records: Records, swapped
         col.equal("ext-L-MU", e(forms["L"], MU), 0)
 
     # the ordered-pair matrix transports along both involutions
-    try:
-        _check_involution_orbits(params, records, swapped_records)
-        col.check("ext-involution-orbits", True)
-    except AssertionError as exc:
-        col.check("ext-involution-orbits", False, str(exc))
+    col.first("ext-involution-orbits", _check_involution_orbits(params, records, swapped_records))
 
 
 def _chern_checks(col: _Collector, params: ScrollParams, records: Records):
@@ -346,12 +356,9 @@ def _chern_checks(col: _Collector, params: ScrollParams, records: Records):
 
     # slope of every extension c1 equals d + g - 1 per rank
     _, d, g = numerical_invariants(params)
-    for rec in records:
-        if slope(params, rec.c1, 2) != Fraction(d + g - 1):
-            col.check("extension-slope", False, f"case {rec.case_id}")
-            break
-    else:
-        col.check("extension-slope", True)
+    mu = Fraction(d + g - 1)
+    col.first("extension-slope",
+              (f"case {rec.case_id}" for rec in records if slope(params, rec.c1, 2) != mu))
 
 
 def _endo_checks(col: _Collector, params: ScrollParams):
@@ -483,36 +490,40 @@ def _closed_c3(params: ScrollParams, r: int) -> int:
     return r * r * (r - 2) * g1
 
 
-def _check_tower(params: ScrollParams):
-    """Raise AssertionError at the first tower value that misses its closed form."""
+def _check_tower(params: ScrollParams) -> Iterator[str]:
+    """Yield a message for each tower value that misses its closed form."""
 
-    def expect(what: str, got, want):
+    def expect(what: str, got, want) -> Iterator[str]:
         if got != want:
-            raise AssertionError(f"tower {what}: got {got}, want {want} at {params}")
+            yield f"tower {what}: got {got}, want {want} at {params}"
 
     n_dual, n = tower_pair(params)
-    expect("h^1 seeds", (h_scroll(params, n_dual - n).h1, h_scroll(params, n - n_dual).h1), (3, 3))
+    seeds = (h_scroll(params, n_dual - n).h1, h_scroll(params, n - n_dual).h1)
+    yield from expect("h^1 seeds", seeds, (3, 3))
     h1 = tower_h1_recursion(params, TOWER_RANKS)
     _, d, g = numerical_invariants(params)
     mu = Fraction(d + g - 1)
     for r in range(1, TOWER_RANKS + 1):
         odd = r % 2
         tw = tower_chern(params, r)
-        expect(f"Chern classes at r={r}", (tw.c1, tw.c2, tw.c3),
-               (_closed_c1(params, r), _closed_c2(params, r), _closed_c3(params, r)))
-        expect(f"slope at r={r}", slope(params, tw.c1, r), mu)
+        yield from expect(f"Chern classes at r={r}", (tw.c1, tw.c2, tw.c3),
+                          (_closed_c1(params, r), _closed_c2(params, r), _closed_c3(params, r)))
+        yield from expect(f"slope at r={r}", slope(params, tw.c1, r), mu)
         chi_next = chi_tower_vs_line(params, r, tower_quotient(params, r + 1))
-        expect(f"chi vs Q_{r + 1} at r={r}", chi_next, -r - 2 if odd else -r)
-        expect(f"chi vs Q_{r} at r={r}",
-               chi_tower_vs_line(params, r, tower_quotient(params, r)), -r + 2 if odd else -r)
+        yield from expect(f"chi vs Q_{r + 1} at r={r}", chi_next, -r - 2 if odd else -r)
+        yield from expect(f"chi vs Q_{r} at r={r}",
+                          chi_tower_vs_line(params, r, tower_quotient(params, r)),
+                          -r + 2 if odd else -r)
         chi_end = chi_endo_tower(params, r)
-        expect(f"chi(End) at r={r}", chi_end, -r * r + 2 if odd else -r * r)
-        expect(f"moduli dim vs 1 - chi(End) at r={r}", moduli_dim_tower(r), 1 - chi_end)
-        expect(f"h^1 at r={r}", h1[r - 1], r + 2 if odd else r + 1)
-        expect(f"h^1 vs h^0 - chi at r={r}", h1[r - 1], (0 if odd else 1) - chi_next)
+        yield from expect(f"chi(End) at r={r}", chi_end, -r * r + 2 if odd else -r * r)
+        yield from expect(f"moduli dim vs 1 - chi(End) at r={r}",
+                          moduli_dim_tower(r), 1 - chi_end)
+        yield from expect(f"h^1 at r={r}", h1[r - 1], r + 2 if odd else r + 1)
+        yield from expect(f"h^1 vs h^0 - chi at r={r}",
+                          h1[r - 1], (0 if odd else 1) - chi_next)
         if r >= 2:
-            expect(f"gap at r={r}", moduli_dim_gap(r),
-                   moduli_dim_tower(r) - moduli_dim_tower(r - 1) + 1 - h1[r - 2])
+            yield from expect(f"gap at r={r}", moduli_dim_gap(r),
+                              moduli_dim_tower(r) - moduli_dim_tower(r - 1) + 1 - h1[r - 2])
 
 
 def run_tower_checks() -> list[CheckResult]:
@@ -544,11 +555,7 @@ def run_tower_checks() -> list[CheckResult]:
         for b in range(a, 2):
             for c in range(a + b + 1, a + b + 7):
                 col = _Collector(a, b, c)
-                try:
-                    _check_tower(ScrollParams(a, b, c))
-                    col.check("tower-closed-forms", True)
-                except AssertionError as exc:
-                    col.check("tower-closed-forms", False, str(exc))
+                col.first("tower-closed-forms", _check_tower(ScrollParams(a, b, c)))
                 out.extend(col.results)
     return out
 

@@ -46,11 +46,12 @@ def test_involution_transport_checks_pass_on_grid():
     for cell in FULL_GRID[::3]:
         p = ScrollParams(*cell)
         q = p.swapped()
-        verify._check_involution_orbits(
+        failures = verify._check_involution_orbits(
             p,
             enumerate_cases(p, classify_ulrich_line_bundles(p)),
             enumerate_cases(q, classify_ulrich_line_bundles(q)),
         )
+        assert list(failures) == [], cell
 
 
 def test_controls_pass_unpatched():
@@ -270,3 +271,41 @@ def test_h3_of_an_effective_class_is_caught(monkeypatch, capsys):
 
     monkeypatch.setattr(verify, "h_scroll", mutant)
     assert "cohomology-degree-bounds" in _cli_failures((0, 1, 3), capsys)
+
+
+def test_ulrich_dual_plus_f_fails_rows_not_the_run(monkeypatch, capsys):
+    original = verify.ulrich_dual
+    monkeypatch.setattr(
+        verify, "ulrich_dual",
+        lambda p, d: original(p, d) + F if p == ScrollParams(0, 1, 3) else original(p, d),
+    )
+    assert {"ext-involution-orbits", "ulrich-duality-closure"} <= _cli_failures((0, 1, 3), capsys)
+
+
+def test_bundle_dropped_at_swapped_triple_fails_rows_not_the_run(monkeypatch, capsys):
+    original = verify.classify_ulrich_line_bundles
+    monkeypatch.setattr(
+        verify, "classify_ulrich_line_bundles",
+        lambda p: original(p)[:-1] if p.a > p.b else original(p),
+    )
+    assert "ext-involution-orbits" in _cli_failures((0, 1, 3), capsys)
+
+
+def test_cohomology_rows_report_their_own_first_failure(monkeypatch):
+    chi, dual = verify.chi_closed_form, verify.serre_dual
+    monkeypatch.setattr(
+        verify, "chi_closed_form", lambda p, d: chi(p, d) + (d.as_tuple() == (0, 0, 0))
+    )
+    monkeypatch.setattr(
+        verify, "serre_dual", lambda p, d: dual(p, d) + F if d.as_tuple() == (1, 1, 1) else dual(p, d)
+    )
+    col = verify._Collector(0, 1, 3)
+    verify._cohomology_checks(col, ScrollParams(0, 1, 3))
+    rows = {r.check: r for r in col.results}
+    assert (rows["cohomology-chi-oracle"].ok, rows["cohomology-chi-oracle"].detail) == (
+        False, "chi mismatch at (0, 0, 0)"
+    )
+    assert (rows["cohomology-serre-duality"].ok, rows["cohomology-serre-duality"].detail) == (
+        False, "serre mismatch at (1, 1, 1)"
+    )
+    assert rows["cohomology-vanishing-strip"].ok and rows["cohomology-degree-bounds"].ok
