@@ -7,7 +7,10 @@ messages, which `_Collector.first` turns into one row that fails with the
 first message, so a defect fails a row and never stops the run.  Cell
 checks run per parameter triple, one cell after another in one process; the
 fixed-grid checks (cohomology box at representative parameters, tower,
-instanton) run once.
+instanton) run once.  The cohomology box of a cell reads only (a, b), and
+the boxes of one (a, b) column are nested in z, so the CLI sweeps the box
+once per column (`cohomology_failures` at the column's largest c) and each
+cell reads its own first failures from that sweep.
 
 The library computes and this module checks.  These live only here: the
 O(1) certificate that the classification scan misses no Ulrich bundle,
@@ -67,6 +70,7 @@ from .ulrich import (
 
 Bundles = list[UlrichLineBundleRecord]
 Records = list[Rank2ExtensionRecord]
+Failures = list[tuple[str, DivisorClass]]  # (check, class) of the cohomology box
 
 REPRESENTATIVE_PARAMS = (
     (0, 0, 1),
@@ -187,8 +191,24 @@ def _chow_checks(col: _Collector, params: ScrollParams):
               triple(params.canonical + 2 * h, h, h, params), 2 * g - 2)
 
 
-def _cohomology_checks(col: _Collector, params: ScrollParams, span: int = 3):
-    failed: dict[str, list[str]] = {}  # check name -> [its first failure]
+# The four claims of the cohomology box, each with the start of its failure detail.
+_COHOMOLOGY_CLAIMS = (
+    ("cohomology-chi-oracle", "chi mismatch"),
+    ("cohomology-serre-duality", "serre mismatch"),
+    ("cohomology-vanishing-strip", "strip violated"),
+    ("cohomology-degree-bounds", "degree bound violated"),
+)
+
+
+def cohomology_failures(params: ScrollParams, span: int = 3) -> Failures:
+    """Every failure (check, class) of the box |x|, |y| <= span, |z| <= c + 4, in (x, y, z) order.
+
+    h_scroll, chi_closed_form and serre_dual read only (a, b), and the boxes
+    of one (a, b) column are nested in z; so this list, swept at the
+    column's largest c, holds every smaller box's failures in that box's own
+    order, and a box's first failure is the first here with |z| <= c + 4.
+    """
+    failures = []
     zmax = params.c + 4
     for x in range(-span, span + 1):
         for y in range(-span, span + 1):
@@ -197,20 +217,24 @@ def _cohomology_checks(col: _Collector, params: ScrollParams, span: int = 3):
                 vec = h_scroll(params, div)
                 h0, h1, h2, h3 = vec
                 if h0 - h1 + h2 - h3 != chi_closed_form(params, div):
-                    failed.setdefault("cohomology-chi-oracle",
-                                      [f"chi mismatch at {div.as_tuple()}"])
+                    failures.append(("cohomology-chi-oracle", div))
                 if (h3, h2, h1, h0) != h_scroll(params, serre_dual(params, div)):
-                    failed.setdefault("cohomology-serre-duality",
-                                      [f"serre mismatch at {div.as_tuple()}"])
+                    failures.append(("cohomology-serre-duality", div))
                 if x == -1 and any(vec):
-                    failed.setdefault("cohomology-vanishing-strip",
-                                      [f"strip violated at {div.as_tuple()}"])
+                    failures.append(("cohomology-vanishing-strip", div))
                 if min(vec) < 0 or (x >= 0 and h3 != 0):
-                    failed.setdefault("cohomology-degree-bounds",
-                                      [f"degree bound violated at {div.as_tuple()}"])
-    for name in ("cohomology-chi-oracle", "cohomology-serre-duality",
-                 "cohomology-vanishing-strip", "cohomology-degree-bounds"):
-        col.first(name, failed.get(name, ()))
+                    failures.append(("cohomology-degree-bounds", div))
+    return failures
+
+
+def _cohomology_checks(col: _Collector, params: ScrollParams, failures: Failures | None = None):
+    """One row per claim of the box; `failures` may come from a larger box of the column."""
+    if failures is None:
+        failures = cohomology_failures(params)
+    zmax = params.c + 4
+    for name, what in _COHOMOLOGY_CLAIMS:
+        col.first(name, (f"{what} at {div.as_tuple()}"
+                         for check, div in failures if check == name and abs(div.z) <= zmax))
 
 
 def _expected_cases(params: ScrollParams) -> set[int]:
@@ -420,7 +444,11 @@ def _moduli_checks(col: _Collector, params: ScrollParams):
         col.equal("moduli-case8", (p8.dimension_kind, p8.special), ("point", False))
 
 
-def run_cell_checks(cell: tuple[int, int, int]) -> list[CheckResult]:
+def run_cell_checks(
+    cell: tuple[int, int, int], cohomology: Failures | None = None
+) -> list[CheckResult]:
+    """Every check of one triple; `cohomology` may be the cohomology_failures
+    of a cell of the same (a, b) with c at least this one's."""
     a, b, c = cell
     col = _Collector(a, b, c)
     params = ScrollParams(a, b, c)
@@ -429,7 +457,7 @@ def run_cell_checks(cell: tuple[int, int, int]) -> list[CheckResult]:
     bundles = classify_ulrich_line_bundles(params)
     _classification_checks(col, params, bundles)
     _chow_checks(col, params)
-    _cohomology_checks(col, params)
+    _cohomology_checks(col, params, cohomology)
     records = enumerate_cases(params, bundles)
     sw = params.swapped()
     swapped_records = records if a == b else enumerate_cases(sw, classify_ulrich_line_bundles(sw))
@@ -446,7 +474,7 @@ def run_cohomology_box_checks() -> list[CheckResult]:
     for a, b, c in REPRESENTATIVE_PARAMS:
         col = _Collector(a, b, c)
         params = ScrollParams(a, b, c)
-        _cohomology_checks(col, params, span=5)
+        _cohomology_checks(col, params, cohomology_failures(params, span=5))
         out.extend(
             CheckResult(a, b, c, r.check + "-representative-box", r.ok, r.detail)
             for r in col.results

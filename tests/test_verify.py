@@ -22,7 +22,7 @@ from scroll_ulrich.chow import (
     mul_div_c2,
     mul_div_div,
 )
-from scroll_ulrich.cli import EXIT_VERIFY_FAILED, main
+from scroll_ulrich.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
 from scroll_ulrich.tower import TowerBundle, tower_quotient
 from scroll_ulrich.ulrich import SWAP_TAG
 
@@ -140,6 +140,38 @@ def test_each_triple_is_classified_once(monkeypatch):
     calls.clear()
     verify.run_cell_checks((0, 1, 3))
     assert calls == [ScrollParams(0, 1, 3), ScrollParams(1, 0, 3)]
+
+
+def test_each_column_is_swept_once(monkeypatch, capsys):
+    """One cohomology sweep per (a, b) column, at its largest c, then the representative boxes."""
+    calls = []
+    original = verify.chi_closed_form
+
+    def counted(params, div):
+        if div.as_tuple() == (-3, -3, 0):  # a corner of every box, outside the scan certificate
+            calls.append((params.a, params.b, params.c))
+        return original(params, div)
+
+    monkeypatch.setattr(verify, "chi_closed_form", counted)
+    assert main(["verify", "--a", "0..1", "--b", "0..1", "--normalize"]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == [(0, 0, 6), (0, 1, 7), (1, 1, 8), *verify.REPRESENTATIVE_PARAMS]
+
+
+@pytest.mark.parametrize("where, failing", [
+    ((0, 0, 8), {4}),  # inside only the largest box of the column
+    ((0, 0, 0), {2, 3, 4}),  # inside every box
+])
+def test_column_sweep_reports_each_cells_own_first_failure(monkeypatch, capsys, where, failing):
+    chi = verify.chi_closed_form
+    monkeypatch.setattr(verify, "chi_closed_form", lambda p, d: chi(p, d) + (d.as_tuple() == where))
+    assert main(["verify", "--a", "0", "--b", "1", "--c", "2..4", "--all"]) == EXIT_VERIFY_FAILED
+    checks = next(t for t in json.loads(capsys.readouterr().out)["tables"] if t["name"] == "checks")
+    rows = [tuple(r[:3] + r[4:]) for r in checks["rows"] if r[3] == "cohomology-chi-oracle"]
+    assert rows == [
+        (0, 1, c, "FAIL", f"chi mismatch at {where}") if c in failing else (0, 1, c, "pass", "")
+        for c in (2, 3, 4)
+    ]
 
 
 def _tower_failures():
