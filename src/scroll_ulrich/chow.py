@@ -19,36 +19,42 @@ so the checked-width concern of a fixed-size implementation does not arise.
 DivisorClass and Codim2Class are NamedTuples with class arithmetic: +, -,
 unary - and integer scaling on either side, never tuple concatenation or
 repetition.  As tuples they compare equal to the plain tuple of their
-coefficients, so DivisorClass(1, 2, 3) == Codim2Class(1, 2, 3).
+coefficients, so DivisorClass(1, 2, 3) == Codim2Class(1, 2, 3).  ScrollParams
+is a validating NamedTuple too, so ScrollParams(1, 2, 4) == (1, 2, 4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ScrollParams:
-    """The triple (a, b, c) fixing X and its polarization h = xi + C0 + cF.
-
-    Constraints: a, b >= 0 and c >= a + b + 1 (very-ampleness of h).
-    `h` and `canonical` are built on first use and kept on the instance;
-    equality and hashing read only (a, b, c).
-    """
-
+class _Params(NamedTuple):
     a: int
     b: int
     c: int
 
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError(f"need a >= 0 and b >= 0, got (a, b) = ({self.a}, {self.b})")
-        if self.c < self.a + self.b + 1:
-            raise ValueError(
-                f"h is very ample only for c >= a+b+1: c = {self.c} < {self.a + self.b + 1}"
-            )
+
+class ScrollParams(_Params):
+    """The triple (a, b, c) fixing X and its polarization h = xi + C0 + cF.
+
+    Constraints: a, b >= 0 and c >= a + b + 1 (very-ampleness of h).
+    `h` and `canonical` are built on first use and kept in the instance
+    __dict__ that this subclass of the (a, b, c) tuple has; equality and
+    hashing read only (a, b, c).
+    """
+
+    def __new__(cls, a: int, b: int, c: int) -> "ScrollParams":
+        if a < 0 or b < 0:
+            raise ValueError(f"need a >= 0 and b >= 0, got (a, b) = ({a}, {b})")
+        if c < a + b + 1:
+            raise ValueError(f"h is very ample only for c >= a+b+1: c = {c} < {a + b + 1}")
+        return super().__new__(cls, a, b, c)
+
+    @classmethod
+    def _make(cls, iterable) -> "ScrollParams":
+        # the tuple's _make, and so _replace, would skip the checks above
+        return cls(*iterable)
 
     @cached_property
     def h(self) -> "DivisorClass":

@@ -15,8 +15,8 @@ import io
 import json
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from itertools import groupby
+from typing import NamedTuple
 
 from .chow import DivisorClass, ScrollParams, mul_div_c2, mul_div_div, numerical_invariants
 from .cohomology import chi_closed_form, h_scroll, serre_dual
@@ -42,15 +42,13 @@ class ConfigError(Exception):
     """Bad ranges or malformed values; maps to exit code 2."""
 
 
-@dataclass
-class Table:
+class Table(NamedTuple):
     name: str
     columns: list[str]
-    rows: list[list] = field(default_factory=list)
+    rows: list[list]
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     meta: dict
     tables: list[Table]
@@ -169,6 +167,7 @@ def cmd_classify(args) -> tuple[Report, int]:
     table = Table(
         "ulrich-line-bundles",
         ["a", "b", "c", "status", "tag", "divisor", "dual_tag", "dual", "h0", "slope"],
+        [],
     )
     counted = skipped = 0
     cells = list(_cells(args))
@@ -221,14 +220,13 @@ def cmd_chow(args) -> tuple[Report, int]:
     params = _params(args.params)
     d1, d2 = _div(args.d1), _div(args.d2)
     prod = mul_div_div(d1, d2, params)
-    table = Table("products", ["expression", "value"])
-    table.rows.append(["d1.d2 (xiC0,xiF,C0F)", f"{prod.p},{prod.q},{prod.r}"])
+    rows = [["d1.d2 (xiC0,xiF,C0F)", f"{prod.p},{prod.q},{prod.r}"]]
     if args.d3:
         d3 = _div(args.d3)
-        table.rows.append(["d1.d2.d3", mul_div_c2(d3, prod, params)])
+        rows.append(["d1.d2.d3", mul_div_c2(d3, prod, params)])
     n, d, g = numerical_invariants(params)
     meta = {"a": params.a, "b": params.b, "c": params.c, "n": n, "degree": d, "genus": g}
-    return Report("chow", meta, [table]), EXIT_OK
+    return Report("chow", meta, [Table("products", ["expression", "value"], rows)]), EXIT_OK
 
 
 def cmd_ext_table(args) -> tuple[Report, int]:
@@ -240,10 +238,12 @@ def cmd_ext_table(args) -> tuple[Report, int]:
             "c1_twisted", "c2_twisted", "obstructed_base_a", "obstructed_base_b",
             "pullback_obstructed",
         ],
+        [],
     )
     predictions = Table(
         "moduli-predictions",
         ["a", "b", "c", "case", "kind", "dimension", "generically_smooth", "special", "note"],
+        [],
     )
     skipped = 0
     for a, b, c, params, _ in _cells(args):
@@ -283,8 +283,9 @@ def cmd_tower_report(args) -> tuple[Report, int]:
         "tower-chern",
         ["a", "b", "c", "r", "c1", "c2", "c3", "slope", "chi_endo",
          "moduli_dim", "gap", "outside_hypothesis"],
+        [],
     )
-    h1_table = Table("tower-h1", ["a", "b", "c", "r", "h1"])
+    h1_table = Table("tower-h1", ["a", "b", "c", "r", "h1"], [])
     skipped = 0
     for a, b, c, params, _ in _cells(args):
         if params is None:
@@ -315,6 +316,7 @@ def cmd_instanton(args) -> tuple[Report, int]:
     table = Table(
         "instanton-triples",
         ["c", "case", "k1", "k2", "k3", "charge", "c2_after_twist", "predicted_dim"],
+        [],
     )
     for c in parse_range(args.c_range):
         if c < 1:
@@ -353,17 +355,14 @@ def cmd_verify(args) -> tuple[Report, int]:
         runs = by_claim.setdefault(r.check, [0, 0])
         runs[0] += 1
         runs[1] += 0 if r.ok else 1
-    ledger = Table("ledger", ["check", "runs", "failures", "status"])
-    ledger.rows = [
+    ledger = Table("ledger", ["check", "runs", "failures", "status"], [
         [name, runs, bad, "pass" if bad == 0 else "FAIL"]
         for name, (runs, bad) in sorted(by_claim.items())
-    ]
-
-    table = Table("checks", ["a", "b", "c", "check", "status", "detail"])
-    if args.all or failed:
-        table.rows = [r.row() for r in (results if args.all else failed)]
-    summary = Table("summary", ["checks", "passed", "failed"])
-    summary.rows.append([len(results), len(results) - len(failed), len(failed)])
+    ])
+    table = Table("checks", ["a", "b", "c", "check", "status", "detail"],
+                  [r.row() for r in (results if args.all else failed)])
+    summary = Table("summary", ["checks", "passed", "failed"],
+                    [[len(results), len(results) - len(failed), len(failed)]])
     meta = {"cells": len(cells), "failed": len(failed)}
     code = EXIT_OK if not failed else EXIT_VERIFY_FAILED
     return Report("verify", meta, [summary, ledger, table]), code

@@ -21,7 +21,7 @@ are not self-verified; `scroll-ulrich verify` certifies their transport.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chow import Codim2Class, DivisorClass, ScrollParams, mul_div_div
 from .cohomology import chi, h_scroll
@@ -75,8 +75,7 @@ CASE_ORBITS = (
 ORBIT_REPRESENTATIVE = {k: orbit[0] for orbit in CASE_ORBITS for k in orbit}
 
 
-@dataclass(frozen=True)
-class Rank2ExtensionRecord:
+class Rank2ExtensionRecord(NamedTuple):
     """Full invariant dossier of an ordered Ulrich line-bundle pair."""
 
     sub: DivisorClass
@@ -96,8 +95,7 @@ class Rank2ExtensionRecord:
     pullback_obstructed: bool  # cannot be a pullback from either base
 
 
-@dataclass(frozen=True)
-class ModuliPrediction:
+class ModuliPrediction(NamedTuple):
     """Moduli-component prediction for one case of rank-two extensions."""
 
     case_id: int
@@ -108,8 +106,7 @@ class ModuliPrediction:
     branch_note: str
 
 
-@dataclass(frozen=True)
-class InstantonTriple:
+class InstantonTriple(NamedTuple):
     """An admissible c2 triple (k1, k2, k3) of an instanton bundle."""
 
     k1: int

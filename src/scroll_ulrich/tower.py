@@ -24,15 +24,14 @@ the vanishing statements used by its long-exact-sequence derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chow import Codim2Class, DivisorClass, ScrollParams, mul_div_c2, mul_div_div
 from .cohomology import chi, h_scroll
 from .ulrich import named_line_bundles
 
 
-@dataclass(frozen=True)
-class TowerBundle:
+class TowerBundle(NamedTuple):
     """Rank, Chern classes and filtration quotients of G_r."""
 
     rank: int

@@ -22,8 +22,8 @@ certificate of both bounds is `ulrich-scan-bounds` in verify.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chow import Codim2Class, DivisorClass, ScrollParams, triple
 from .cohomology import ZERO_COHOMOLOGY, h_scroll
@@ -58,8 +58,7 @@ SWAP_TAG = {
 }
 
 
-@dataclass(frozen=True)
-class UlrichLineBundleRecord:
+class UlrichLineBundleRecord(NamedTuple):
     """A classified Ulrich line bundle with its closed-form tag and dual."""
 
     divisor: DivisorClass
@@ -155,8 +154,7 @@ def is_special_rank2(params: ScrollParams, c1: DivisorClass) -> bool:
     return c1 == params.canonical + 4 * params.h
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Pullback obstructions for a twisted second Chern class.
 
     A bundle of the form h (x) phi^*(F) has c2 of the twist by -h supported

@@ -24,8 +24,8 @@ h^1 closed form).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chow import Codim2Class, DivisorClass, ScrollParams, mul_div_div, numerical_invariants, triple
 from .cohomology import chi_closed_form, h_scroll, serre_dual
@@ -82,8 +82,7 @@ REPRESENTATIVE_PARAMS = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     a: int
     b: int
     c: int

@@ -125,10 +125,28 @@ def test_numerical_invariants(cell, expected):
 def test_params_validation():
     with pytest.raises(ValueError):
         ScrollParams(-1, 0, 3)
+    with pytest.raises(ValueError, match=r"need a >= 0 and b >= 0, got \(a, b\) = \(-1, 0\)"):
+        ScrollParams(-1, 0, 1)
     with pytest.raises(ValueError):
         ScrollParams(0, -2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="h is very ample only for c >= a\\+b\\+1: c = 2 < 3"):
         ScrollParams(1, 1, 2)
+    with pytest.raises(ValueError):
+        ScrollParams(a=1, b=1, c=2)
+
+
+def test_params_are_a_frozen_tuple():
+    p = ScrollParams(1, 2, 4)
+    with pytest.raises(AttributeError):
+        p.c = 9
+    assert p.c == 4 and p.h == DivisorClass(1, 1, 4)
+    # a NamedTuple, like DivisorClass: equal to the plain tuple, same hash
+    assert p == (1, 2, 4) and hash(p) == hash((1, 2, 4))
+    assert repr(p) == "ScrollParams(a=1, b=2, c=4)" and type(p.swapped()) is ScrollParams
+    # _replace goes through the checks and builds its own h
+    with pytest.raises(ValueError):
+        p._replace(c=3)
+    assert p._replace(c=5).h == DivisorClass(1, 1, 5)
 
 
 def test_tuple_backed_classes_keep_class_semantics():

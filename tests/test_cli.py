@@ -193,12 +193,14 @@ def test_verify_negative_control_exits_one(capsys, monkeypatch):
     assert "Chern classes at r=5" in rows[0][5]
 
 
-def test_cli_import_loads_no_process_pool():
+def test_cli_import_loads_no_process_pool_or_dataclasses():
     # every CLI call pays for what `import scroll_ulrich.cli` loads; a process
-    # pool would pull in the `concurrent` and `multiprocessing` packages
+    # pool would pull in the `concurrent` and `multiprocessing` packages, and
+    # `dataclasses` pulls in `inspect` (with `ast`, `dis` and `tokenize`)
     code = (
         "import sys, scroll_ulrich.cli; "
-        "print([m for m in ('concurrent', 'multiprocessing') if m in sys.modules])"
+        "print([m for m in ('concurrent', 'multiprocessing', 'dataclasses', 'inspect') "
+        "if m in sys.modules])"
     )
     path = [str(Path(scroll_ulrich.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}

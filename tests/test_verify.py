@@ -6,7 +6,6 @@ controls of the library layers run `verify` through the CLI, which must
 exit 1 with the ledger on stdout, not crash.
 """
 
-import dataclasses
 import json
 import sys
 
@@ -75,7 +74,7 @@ def test_c2_off_by_one_is_caught(monkeypatch):
         records = original(params, bundles)
         if params == ScrollParams(*cell):
             r = records[0]
-            records[0] = dataclasses.replace(r, c2=r.c2 + Codim2Class(0, 0, 1))
+            records[0] = r._replace(c2=r.c2 + Codim2Class(0, 0, 1))
         return records
 
     monkeypatch.setattr(verify, "enumerate_cases", knocked)
