@@ -29,9 +29,15 @@ normalisation, independent of y and z.
 
 Only the scroll layer is memoized, on (a, b, x, y, z).  Correctness does not
 depend on the cache; it serves the classification scans and the tower
-report, which re-query a few small classes many times.  The cache holds the
-immutable CohomologyVector itself and h_scroll hands that same object to
-every caller, so a hit builds nothing and a miss builds one vector.
+report, which re-query a few small classes many times.  The strips x = -1
+and y = -1 stay out of it: each is a relative O(-1) for one of the two
+scroll structures (X is also a P^1-bundle over F_b, with x and y swapped),
+so all its cohomology vanishes and h_scroll answers ZERO_COHOMOLOGY before
+the lookup.  Serre duality maps x <= -2 to x >= 0 and keeps y off -1, so the
+recursion never reaches a strip either.  Each miss interns its vector in a
+module table seeded with ZERO_COHOMOLOGY, so the cache holds one shared,
+immutable CohomologyVector per distinct value, and h_scroll hands that same
+object to every caller.
 """
 
 from __future__ import annotations
@@ -108,8 +114,13 @@ def h_hirzebruch(a: int, alpha: int, beta: int) -> CohomologyVector:
     return CohomologyVector(h0, h1, h2, 0)
 
 
+# One shared instance per distinct value the cache holds.
+_VECTORS = {ZERO_COHOMOLOGY: ZERO_COHOMOLOGY}
+
+
 @lru_cache(maxsize=None)
 def _h_scroll(a: int, b: int, x: int, y: int, z: int) -> CohomologyVector:
+    """Any class off the strips x = -1 and y = -1."""
     if x >= 0:
         h0 = h1 = h2 = 0
         for j in range(x + 1):
@@ -117,11 +128,11 @@ def _h_scroll(a: int, b: int, x: int, y: int, z: int) -> CohomologyVector:
             h0 += s0
             h1 += s1
             h2 += s2
-        return CohomologyVector(h0, h1, h2, 0)
-    if x == -1:
-        return ZERO_COHOMOLOGY
-    # Serre duality with K_X = (-2, -2, -(a+b+2))
-    return _h_scroll(a, b, -2 - x, -2 - y, -(a + b + 2) - z).reversed()
+        vec = CohomologyVector(h0, h1, h2, 0)
+    else:
+        # Serre duality with K_X = (-2, -2, -(a+b+2)); x <= -2, so the dual has x >= 0
+        vec = _h_scroll(a, b, -2 - x, -2 - y, -(a + b + 2) - z).reversed()
+    return _VECTORS.setdefault(vec, vec)
 
 
 def h_scroll(params: ScrollParams, div: DivisorClass) -> CohomologyVector:
@@ -129,7 +140,10 @@ def h_scroll(params: ScrollParams, div: DivisorClass) -> CohomologyVector:
 
     The returned vector is shared with the cache and every other caller.
     """
-    return _h_scroll(params.a, params.b, div.x, div.y, div.z)
+    x, y = div.x, div.y
+    if x == -1 or y == -1:
+        return ZERO_COHOMOLOGY
+    return _h_scroll(params.a, params.b, x, y, div.z)
 
 
 def chi(params: ScrollParams, div: DivisorClass) -> int:

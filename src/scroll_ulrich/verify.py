@@ -219,7 +219,7 @@ def cohomology_failures(params: ScrollParams, span: int = 3) -> Failures:
                     failures.append(("cohomology-chi-oracle", div))
                 if (h3, h2, h1, h0) != h_scroll(params, serre_dual(params, div)):
                     failures.append(("cohomology-serre-duality", div))
-                if x == -1 and any(vec):
+                if (x == -1 or y == -1) and any(vec):
                     failures.append(("cohomology-vanishing-strip", div))
                 if min(vec) < 0 or (x >= 0 and h3 != 0):
                     failures.append(("cohomology-degree-bounds", div))

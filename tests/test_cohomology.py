@@ -30,6 +30,8 @@ from scroll_ulrich import (
 )
 from scroll_ulrich import cohomology as cohmod
 from scroll_ulrich.chow import Codim2Class, mul_div_c2, mul_div_div, triple
+from scroll_ulrich.cli import main
+from scroll_ulrich.cohomology import ZERO_COHOMOLOGY
 
 PARAMS = [
     ScrollParams(0, 0, 1),
@@ -254,12 +256,61 @@ def test_degree_bounds(p, d):
         assert vec.is_zero()
 
 
-def test_results_do_not_depend_on_cache():
+def test_results_do_not_depend_on_cache(monkeypatch):
     p = ScrollParams(2, 3, 6)
     d = DivisorClass(-4, 2, -11)
     warm = h_scroll(p, d)
     cohmod._h_scroll.cache_clear()
-    assert h_scroll(p, d) == warm
+    monkeypatch.setattr(cohmod, "_VECTORS", {})
+    try:
+        assert h_scroll(p, d) == warm
+    finally:
+        # keep no vector in the cache that the restored intern table lacks
+        cohmod._h_scroll.cache_clear()
+
+
+def test_equal_vectors_are_one_object():
+    p = ScrollParams(0, 1, 2)
+    # both have h0 = 4, and their Serre duals (-2, -2, -6), (-2, -5, -3) both h3 = 4
+    assert h_scroll(p, DivisorClass(0, 0, 3)) is h_scroll(p, DivisorClass(0, 3, 0))
+    assert h_scroll(p, DivisorClass(-2, -2, -6)) is h_scroll(p, DivisorClass(-2, -5, -3))
+    # a zero off the strips, from either branch, is the shared zero
+    for d in (DivisorClass(0, 0, -1), serre_dual(p, DivisorClass(0, 0, -1))):
+        assert h_scroll(p, d) is ZERO_COHOMOLOGY
+
+
+def test_strips_bypass_the_cache():
+    p = ScrollParams(1, 2, 4)
+    strip = [DivisorClass(-1, y, z) for y in (-4, -1, 0, 3) for z in (-9, 0, 9)]
+    strip += [DivisorClass(x, -1, z) for x in (-5, -2, 0, 4) for z in (-9, 0, 9)]
+    strip += [serre_dual(p, d) for d in strip]
+    size = cohmod._h_scroll.cache_info().currsize
+    for d in strip:
+        assert d.x == -1 or d.y == -1
+        assert h_scroll(p, d) is ZERO_COHOMOLOGY
+    assert cohmod._h_scroll.cache_info().currsize == size
+
+
+@given(
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.integers(-12, 12),
+    st.booleans(),
+    st.integers(-60, 60),
+)
+@settings(max_examples=200)
+def test_strips_against_pushforward_loop(a, b, other, on_x_strip, z):
+    x, y = (-1, other) if on_x_strip else (other, -1)
+    p = ScrollParams(a, b, a + b + 1)
+    assert h_scroll(p, DivisorClass(x, y, z)).as_tuple() == h_pushforward(a, b, x, y, z)
+
+
+def test_verify_cache_size_is_bounded(capsys):
+    # with the strips in the cache, this grid left 21,806 entries
+    cohmod._h_scroll.cache_clear()
+    assert main(["verify", "--a", "0..1", "--b", "0..1", "--normalize"]) == 0
+    capsys.readouterr()
+    assert cohmod._h_scroll.cache_info().currsize <= 17_440
 
 
 def test_shared_vector_is_immutable():

@@ -293,6 +293,19 @@ def test_h1_on_the_vanishing_strip_is_caught(monkeypatch, capsys):
     assert "cohomology-vanishing-strip" in _cli_failures((0, 1, 3), capsys)
 
 
+def test_cohomology_on_the_y_strip_is_caught(monkeypatch, capsys):
+    # chi, Serre duality and the degree bounds all hold for this mutant
+    original = verify.h_scroll
+
+    def mutant(params, div):
+        if div.y == -1 and div.x != -1:
+            return cohomology.CohomologyVector(0, 1, 1, 0)
+        return original(params, div)
+
+    monkeypatch.setattr(verify, "h_scroll", mutant)
+    assert _cli_failures((0, 1, 3), capsys) == {"cohomology-vanishing-strip"}
+
+
 def test_h3_of_an_effective_class_is_caught(monkeypatch, capsys):
     original = verify.h_scroll
 
