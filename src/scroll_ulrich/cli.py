@@ -159,8 +159,9 @@ def _cells(args) -> Iterator[tuple[int, int, int, ScrollParams | None, bool]]:
                 yield aa, bb, c, params, normalized
 
 
-def _div_str(d: DivisorClass) -> str:
-    return f"{d.x},{d.y},{d.z}"
+def _coeffs(t: tuple[int, ...]) -> str:
+    """A class or coefficient tuple as 'x,y,z'."""
+    return ",".join(map(str, t))
 
 
 def cmd_classify(args) -> tuple[Report, int]:
@@ -182,9 +183,9 @@ def cmd_classify(args) -> tuple[Report, int]:
                 [
                     a, b, c, status,
                     rec.tag,
-                    _div_str(rec.divisor),
+                    _coeffs(rec.divisor),
                     DUAL_TAG[rec.tag],
-                    _div_str(rec.special_pairing),
+                    _coeffs(rec.special_pairing),
                     h_scroll(params, rec.divisor).h0,
                     str(slope(params, rec.divisor, 1)),
                 ]
@@ -204,13 +205,13 @@ def cmd_cohom(args) -> tuple[Report, int]:
         "cohomology",
         ["divisor", "h0", "h1", "h2", "h3", "chi", "chi_closed_form"],
         [
-            [_div_str(div), *vec.as_tuple(), vec.chi, chi_closed_form(params, div)],
-            [_div_str(dual), *dual_vec.as_tuple(), dual_vec.chi, chi_closed_form(params, dual)],
+            [_coeffs(div), *vec, vec.chi, chi_closed_form(params, div)],
+            [_coeffs(dual), *dual_vec, dual_vec.chi, chi_closed_form(params, dual)],
         ],
     )
     meta = {
         "a": params.a, "b": params.b, "c": params.c,
-        "serre_dual": _div_str(dual),
+        "serre_dual": _coeffs(dual),
         "serre_reversal_ok": vec.reversed() == dual_vec,
     }
     return Report("cohom", meta, [table]), EXIT_OK
@@ -220,7 +221,7 @@ def cmd_chow(args) -> tuple[Report, int]:
     params = _params(args.params)
     d1, d2 = _div(args.d1), _div(args.d2)
     prod = mul_div_div(d1, d2, params)
-    rows = [["d1.d2 (xiC0,xiF,C0F)", f"{prod.p},{prod.q},{prod.r}"]]
+    rows = [["d1.d2 (xiC0,xiF,C0F)", _coeffs(prod)]]
     if args.d3:
         d3 = _div(args.d3)
         rows.append(["d1.d2.d3", mul_div_c2(d3, prod, params)])
@@ -255,11 +256,10 @@ def cmd_ext_table(args) -> tuple[Report, int]:
             records.rows.append(
                 [
                     a, b, c, r.case_id, r.sub_tag, r.quot_tag,
-                    _div_str(r.sub), _div_str(r.quotient), r.ext_dim,
-                    _div_str(r.c1), f"{r.c2.p},{r.c2.q},{r.c2.r}",
+                    _coeffs(r.sub), _coeffs(r.quotient), r.ext_dim,
+                    _coeffs(r.c1), _coeffs(r.c2),
                     r.chi_endo, r.h2_endo, r.special,
-                    _div_str(r.c1_twisted),
-                    f"{r.c2_twisted.p},{r.c2_twisted.q},{r.c2_twisted.r}",
+                    _coeffs(r.c1_twisted), _coeffs(r.c2_twisted),
                     r.obstruction.from_base_a, r.obstruction.from_base_b,
                     r.pullback_obstructed,
                 ]
@@ -297,7 +297,7 @@ def cmd_tower_report(args) -> tuple[Report, int]:
             chern.rows.append(
                 [
                     a, b, c, r,
-                    _div_str(tw.c1), f"{tw.c2.p},{tw.c2.q},{tw.c2.r}", tw.c3,
+                    _coeffs(tw.c1), _coeffs(tw.c2), tw.c3,
                     str(slope(params, tw.c1, r)),
                     chi_endo_tower(params, r) if inside else "",
                     moduli_dim_tower(r),
@@ -324,7 +324,7 @@ def cmd_instanton(args) -> tuple[Report, int]:
         for t in instanton_admissible(c):
             table.rows.append(
                 [c, t.case, t.k1, t.k2, t.k3, t.charge,
-                 ",".join(str(v) for v in t.c2_after_twist), t.predicted_dim]
+                 _coeffs(t.c2_after_twist), t.predicted_dim]
             )
     return Report("instanton", {"rows": len(table.rows)}, [table]), EXIT_OK
 
@@ -382,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="value or lo..hi (default: a+b+1..a+b+6 per cell)")
         p.add_argument("--normalize", action="store_true",
                        help="apply the a <= b convention by swapping")
-        p.add_argument("--format", choices=sorted(RENDERERS), default="json")
 
     p = sub.add_parser("classify", help="Ulrich line bundles per grid cell")
     add_grid(p)
@@ -391,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cohom", help="cohomology of one line bundle")
     p.add_argument("--params", required=True, help="a,b,c")
     p.add_argument("--div", required=True, help="x,y,z")
-    p.add_argument("--format", choices=sorted(RENDERERS), default="json")
     p.set_defaults(func=cmd_cohom)
 
     p = sub.add_parser("chow", help="intersection products")
@@ -399,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d1", required=True, help="x,y,z")
     p.add_argument("--d2", required=True, help="x,y,z")
     p.add_argument("--d3", help="x,y,z (optional: triple product)")
-    p.add_argument("--format", choices=sorted(RENDERERS), default="json")
     p.set_defaults(func=cmd_chow)
 
     p = sub.add_parser("ext-table", help="rank-two extension records and moduli predictions")
@@ -413,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("instanton", help="admissible instanton c2 triples")
     p.add_argument("--c", dest="c_range", required=True, help="value or lo..hi")
-    p.add_argument("--format", choices=sorted(RENDERERS), default="json")
     p.set_defaults(func=cmd_instanton)
 
     p = sub.add_parser("verify", help="replay the verification grid; exit 1 on any failure")
@@ -421,6 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="list passing checks too")
     p.set_defaults(func=cmd_verify)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=sorted(RENDERERS), default="json")
     return parser
 
 
@@ -436,8 +434,7 @@ def main(argv=None) -> int:
         # a defect, not a failed check: keep it apart from exit 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    fmt = getattr(args, "format", "json")
-    sys.stdout.write(RENDERERS[fmt](report))
+    sys.stdout.write(RENDERERS[args.format](report))
     if code != EXIT_OK:
         print(f"verification failed: {report.meta.get('failed')} checks", file=sys.stderr)
     return code

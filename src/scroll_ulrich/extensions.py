@@ -12,11 +12,13 @@ The h^2 of End(F) is *not* Chern-determined; it equals h^2(quot - sub) only
 under the vanishing h^2(sub - quot) = 0 that the long-exact-sequence
 argument needs, and is refused (typed error) outside that hypothesis.
 
-Unordered pairs are numbered 1..15 and grouped into equivalence classes
-under the two involutions (Ulrich dual, base swap); cases beyond the
-representatives {1, 2, 3, 4, 8, 9} are generated from them by the
-involution maps, never re-derived.  This module only computes: the records
-are not self-verified; `scroll-ulrich verify` certifies their transport.
+Unordered pairs are numbered 1..15 and grouped into orbits under the two
+involutions (Ulrich dual, base swap).  The orbits are derived at import from
+the tag involutions DUAL_TAG and SWAP_TAG acting on the case numbering;
+cases beyond the representatives {1, 2, 3, 4, 8, 9}, the least case of each
+orbit, are resolved through their orbit, never re-derived.  This module only
+computes: the records are not self-verified; `scroll-ulrich verify`
+certifies their transport.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from typing import NamedTuple
 from .chow import Codim2Class, DivisorClass, ScrollParams, mul_div_div
 from .cohomology import chi, h_scroll
 from .ulrich import (
-    TAG_OTHER,
+    DUAL_TAG,
+    SWAP_TAG,
     ObstructionReport,
     UlrichLineBundleRecord,
     is_special_rank2,
@@ -63,15 +66,20 @@ CASE_OF_PAIR = {
 }
 PAIR_OF_CASE = {k: v for v, k in CASE_OF_PAIR.items()}
 
-# Orbits of the case numbering under the two involutions.
-CASE_ORBITS = (
-    (1,),
-    (2, 7),
-    (3, 6, 12, 15),
-    (4, 5, 13, 14),
-    (8, 11),
-    (9, 10),
-)
+
+def _image(tags: dict[str, str], case: int) -> int:
+    """The case of the pair whose tags are the images of `case`'s tags."""
+    return CASE_OF_PAIR[frozenset(tags[t] for t in PAIR_OF_CASE[case])]
+
+
+def _orbit(case: int) -> tuple[int, ...]:
+    """{k, s(k), d(k), d(s(k))}, sorted: the two involutions commute on tags."""
+    swapped = {case, _image(SWAP_TAG, case)}
+    return tuple(sorted(swapped | {_image(DUAL_TAG, k) for k in swapped}))
+
+
+# Orbits of the case numbering under the two involutions, by least case.
+CASE_ORBITS = tuple(sorted({_orbit(case) for case in PAIR_OF_CASE}))
 ORBIT_REPRESENTATIVE = {k: orbit[0] for orbit in CASE_ORBITS for k in orbit}
 
 
@@ -203,14 +211,14 @@ def enumerate_cases(
     check `ext-involution-orbits` certifies the case set and the transport
     along both involutions.
     """
-    named = [r for r in bundles if r.tag != TAG_OTHER]
+    named = [r for r in bundles if r.tag != "other"]
     records = [
         build_extension_record(params, s.divisor, q.divisor, s.tag, q.tag)
         for s in named
         for q in named
         if s.divisor != q.divisor
     ]
-    records.sort(key=lambda r: (r.case_id, r.sub.as_tuple(), r.quotient.as_tuple()))
+    records.sort(key=lambda r: (r.case_id, r.sub, r.quotient))
     return records
 
 

@@ -28,33 +28,25 @@ from typing import NamedTuple
 from .chow import Codim2Class, DivisorClass, ScrollParams, triple
 from .cohomology import ZERO_COHOMOLOGY, h_scroll
 
-TAG_N = "N"
-TAG_N_DUAL = "N_dual"
-TAG_L = "L"
-TAG_L_DUAL = "L_dual"
-TAG_M = "M"
-TAG_M_DUAL = "M_dual"
-TAG_OTHER = "other"
-
 DUAL_TAG = {
-    TAG_N: TAG_N_DUAL,
-    TAG_N_DUAL: TAG_N,
-    TAG_L: TAG_L_DUAL,
-    TAG_L_DUAL: TAG_L,
-    TAG_M: TAG_M_DUAL,
-    TAG_M_DUAL: TAG_M,
-    TAG_OTHER: TAG_OTHER,
+    "N": "N_dual",
+    "N_dual": "N",
+    "L": "L_dual",
+    "L_dual": "L",
+    "M": "M_dual",
+    "M_dual": "M",
+    "other": "other",
 }
 
 # The base swap fixes the N pair and exchanges the L pair with the M pair.
 SWAP_TAG = {
-    TAG_N: TAG_N_DUAL,
-    TAG_N_DUAL: TAG_N,
-    TAG_L: TAG_M_DUAL,
-    TAG_M_DUAL: TAG_L,
-    TAG_L_DUAL: TAG_M,
-    TAG_M: TAG_L_DUAL,
-    TAG_OTHER: TAG_OTHER,
+    "N": "N_dual",
+    "N_dual": "N",
+    "L": "M_dual",
+    "M_dual": "L",
+    "L_dual": "M",
+    "M": "L_dual",
+    "other": "other",
 }
 
 
@@ -99,15 +91,15 @@ def named_line_bundles(params: ScrollParams) -> dict[str, DivisorClass]:
     """
     a, b, c = params.a, params.b, params.c
     forms = {
-        TAG_N: DivisorClass(2, 0, 2 * c - a - 1),
-        TAG_N_DUAL: DivisorClass(0, 2, 2 * c - b - 1),
+        "N": DivisorClass(2, 0, 2 * c - a - 1),
+        "N_dual": DivisorClass(0, 2, 2 * c - b - 1),
     }
     if a == 0:
-        forms[TAG_L] = DivisorClass(1, 0, 3 * c - b - 1)
-        forms[TAG_L_DUAL] = DivisorClass(1, 2, c - 1)
+        forms["L"] = DivisorClass(1, 0, 3 * c - b - 1)
+        forms["L_dual"] = DivisorClass(1, 2, c - 1)
     if b == 0:
-        forms[TAG_M] = DivisorClass(2, 1, c - 1)
-        forms[TAG_M_DUAL] = DivisorClass(0, 1, 3 * c - a - 1)
+        forms["M"] = DivisorClass(2, 1, c - 1)
+        forms["M_dual"] = DivisorClass(0, 1, 3 * c - a - 1)
     return forms
 
 
@@ -129,7 +121,7 @@ def classify_ulrich_line_bundles(params: ScrollParams) -> list[UlrichLineBundleR
     verify` certifies that no Ulrich bundle lies outside it.
     """
     forms = named_line_bundles(params)
-    by_triple = {d.as_tuple(): tag for tag, d in forms.items()}
+    by_triple = {d: tag for tag, d in forms.items()}
     window = z_window(params)
     records = []
     for x in range(3):
@@ -137,7 +129,7 @@ def classify_ulrich_line_bundles(params: ScrollParams) -> list[UlrichLineBundleR
             for z in window:
                 div = DivisorClass(x, y, z)
                 if is_ulrich_line(params, div):
-                    tag = by_triple.get(div.as_tuple(), TAG_OTHER)
+                    tag = by_triple.get(div, "other")
                     records.append(UlrichLineBundleRecord(div, tag, ulrich_dual(params, div)))
     return records
 
@@ -177,8 +169,3 @@ def pullback_obstruction_report(c2_twisted: Codim2Class) -> ObstructionReport:
         from_base_a=c2_twisted.p != 0 or c2_twisted.q != 0,
         from_base_b=swapped.p != 0 or swapped.q != 0,
     )
-
-
-def pullback_obstruction(params: ScrollParams, c2_twisted: Codim2Class) -> bool:
-    """True iff the class cannot be a pullback from the F_a base."""
-    return pullback_obstruction_report(c2_twisted).from_base_a

@@ -152,7 +152,7 @@ def verify_scan_bounds(params: ScrollParams) -> bool:
 
 
 def _classification_checks(col: _Collector, params: ScrollParams, records: Bundles):
-    n_amb, d, g = numerical_invariants(params)
+    _, d, g = numerical_invariants(params)
     col.equal("ulrich-count", len(records), expected_count(params))
     col.check("ulrich-no-unnamed", all(r.tag != "other" for r in records),
               str([r.divisor.as_tuple() for r in records if r.tag == "other"]))
@@ -164,10 +164,10 @@ def _classification_checks(col: _Collector, params: ScrollParams, records: Bundl
         {tag: div.as_tuple() for tag, div in forms.items()},
     )
 
-    divisors = {r.divisor.as_tuple() for r in records}
+    divisors = {r.divisor for r in records}
     for r in records:
         dual = ulrich_dual(params, r.divisor)
-        col.check("ulrich-duality-closure", dual.as_tuple() in divisors,
+        col.check("ulrich-duality-closure", dual in divisors,
                   f"dual of {r.divisor.as_tuple()} missing")
         col.equal("ulrich-dual-involution",
                   ulrich_dual(params, dual), r.divisor)
@@ -183,7 +183,7 @@ def _classification_checks(col: _Collector, params: ScrollParams, records: Bundl
 
 
 def _chow_checks(col: _Collector, params: ScrollParams):
-    n_amb, d, g = numerical_invariants(params)
+    _, _, g = numerical_invariants(params)
     h = params.h
     col.equal("chow-degree", triple(h, h, h, params), 3 * (2 * params.c - params.a - params.b))
     col.equal("chow-sectional-genus",
@@ -248,7 +248,7 @@ def _check_involution_orbits(
 
     `records`, `swapped_records`: enumerate_cases of params and params.swapped().
     """
-    by_pair = {(r.sub.as_tuple(), r.quotient.as_tuple()): r for r in records}
+    by_pair = {(r.sub, r.quotient): r for r in records}
 
     seen_cases = {r.case_id for r in records}
     expected = _expected_cases(params)
@@ -258,9 +258,7 @@ def _check_involution_orbits(
     kx4h = params.canonical + 4 * params.h
     for r in records:
         # Ulrich duality: Ext^1(A, B) = Ext^1(B^U, A^U).
-        image = by_pair.get(
-            (ulrich_dual(params, r.quotient).as_tuple(), ulrich_dual(params, r.sub).as_tuple())
-        )
+        image = by_pair.get((ulrich_dual(params, r.quotient), ulrich_dual(params, r.sub)))
         if image is None:
             yield f"dual image of case {r.case_id} missing at {params}"
             continue
@@ -274,7 +272,7 @@ def _check_involution_orbits(
             yield f"c2 not transported by Ulrich duality at {params}"
 
     # Base swap: compare against the records of the swapped scroll structure.
-    swapped_by_pair = {(r.sub.as_tuple(), r.quotient.as_tuple()): r for r in swapped_records}
+    swapped_by_pair = {(r.sub, r.quotient): r for r in swapped_records}
     for r in records:
         key = ((r.sub.y, r.sub.x, r.sub.z), (r.quotient.y, r.quotient.x, r.quotient.z))
         image = swapped_by_pair.get(key)
@@ -287,7 +285,7 @@ def _check_involution_orbits(
             yield f"swap tags wrong for case {r.case_id} at {params}"
         if image.ext_dim != r.ext_dim:
             yield f"ext^1 not preserved by the base swap at {params}"
-        if image.c1.as_tuple() != (r.c1.y, r.c1.x, r.c1.z):
+        if image.c1 != (r.c1.y, r.c1.x, r.c1.z):
             yield f"c1 not transported by the base swap at {params}"
         if image.c2 != r.c2.swapped():
             yield f"c2 not transported by the base swap at {params}"

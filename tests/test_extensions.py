@@ -172,8 +172,11 @@ def test_enumerate_counts():
 
 
 def test_orbits_partition_cases():
-    seen = [k for orbit in CASE_ORBITS for k in orbit]
-    assert sorted(seen) == list(range(1, 16))
+    # the paper's six orbits under the Ulrich dual and the base swap, written
+    # out: the oracle for the orbits derived from the two tag involutions
+    assert CASE_ORBITS == ((1,), (2, 7), (3, 6, 12, 15), (4, 5, 13, 14), (8, 11), (9, 10))
+    assert set(ORBIT_REPRESENTATIVE) == set(range(1, 16))
+    assert set(ORBIT_REPRESENTATIVE.values()) == {1, 2, 3, 4, 8, 9}
     assert ORBIT_REPRESENTATIVE[15] == 3
     assert ORBIT_REPRESENTATIVE[7] == 2
 

@@ -15,7 +15,6 @@ from scroll_ulrich import (
     is_ulrich_line,
     named_line_bundles,
     numerical_invariants,
-    pullback_obstruction,
     pullback_obstruction_report,
     slope,
     ulrich_dual,
@@ -175,10 +174,9 @@ def test_speciality():
 
 
 def test_pullback_obstruction():
-    p = ScrollParams(1, 2, 4)
-    assert pullback_obstruction(p, Codim2Class(2, 1, 2))
-    assert not pullback_obstruction(p, Codim2Class(0, 0, 7))
-    assert not pullback_obstruction(p, Codim2Class(0, 0, 0))
+    assert pullback_obstruction_report(Codim2Class(2, 1, 2)).from_base_a
+    assert not pullback_obstruction_report(Codim2Class(0, 0, 7)).from_base_a
+    assert not pullback_obstruction_report(Codim2Class(0, 0, 0)).from_base_a
     report = pullback_obstruction_report(Codim2Class(0, 0, 7))
     assert not report.from_base_a and report.from_base_b
     report = pullback_obstruction_report(Codim2Class(0, 5, 0))

@@ -66,6 +66,16 @@ def test_swapped_swap_tag_entry_is_caught(monkeypatch):
     assert not row.ok and "swap tags wrong" in row.detail
 
 
+@pytest.mark.parametrize("cell, case, message", [
+    ((0, 0, 2), 7, "swap image of case 2 leaves its orbit"),
+    ((0, 1, 3), 6, "dual image of case 3 leaves its orbit"),
+], ids=["swap", "dual"])
+def test_wrong_orbit_representative_is_caught(monkeypatch, cell, case, message):
+    monkeypatch.setitem(extensions.ORBIT_REPRESENTATIVE, case, case)
+    row = _status(cell, "ext-involution-orbits")
+    assert not row.ok and message in row.detail
+
+
 def test_c2_off_by_one_is_caught(monkeypatch):
     original = verify.enumerate_cases
     cell = (0, 1, 3)
