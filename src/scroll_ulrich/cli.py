@@ -336,13 +336,16 @@ def cmd_verify(args) -> tuple[Report, int]:
 
     results = []
     # a cell's cohomology box reads only (a, b) and is nested in the boxes of
-    # larger c: sweep each column once, at its largest c
-    for _, column in groupby(cells, key=lambda cell: cell[:2]):
+    # larger c: sweep each column once, at its largest c, together with the
+    # representative box of its (a, b), while the cohomology cache holds it
+    swept = {}
+    for ab, column in groupby(cells, key=lambda cell: cell[:2]):
         column = list(column)
-        failures = verify_mod.cohomology_failures(ScrollParams(*column[-1]))
+        failures = verify_mod.cohomology_failures(ScrollParams(*column[-1]), representative=True)
+        swept[ab] = failures
         for cell in column:
             results.extend(verify_mod.run_cell_checks(cell, failures))
-    results.extend(verify_mod.run_cohomology_box_checks())
+    results.extend(verify_mod.run_cohomology_box_checks(swept))
     results.extend(verify_mod.run_tower_checks())
     results.extend(verify_mod.run_instanton_checks())
 

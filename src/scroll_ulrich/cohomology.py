@@ -27,17 +27,25 @@ term depends on floor((z - j b + 1) / a), so the sum is a quasi-polynomial
 in j rather than a polynomial.  One evaluation costs O(|x|) after Serre
 normalisation, independent of y and z.
 
-Only the scroll layer is memoized, on (a, b, x, y, z).  Correctness does not
-depend on the cache; it serves the classification scans and the tower
-report, which re-query a few small classes many times.  The strips x = -1
-and y = -1 stay out of it: each is a relative O(-1) for one of the two
-scroll structures (X is also a P^1-bundle over F_b, with x and y swapped),
-so all its cohomology vanishes and h_scroll answers ZERO_COHOMOLOGY before
-the lookup.  Serre duality maps x <= -2 to x >= 0 and keeps y off -1, so the
-recursion never reaches a strip either.  Each miss interns its vector in a
-module table seeded with ZERO_COHOMOLOGY, so the cache holds one shared,
-immutable CohomologyVector per distinct value, and h_scroll hands that same
-object to every caller.
+Only the scroll layer is memoized, on (a, b, x, y, z), and only for one
+family at a time: the pair (a, b) of the latest miss together with its base
+swap (b, a), which describes the same threefolds as a P^1-bundle over F_b.
+A miss from any other pair first empties the cache and the intern table
+below, so memory is bounded by the largest family a run touches, not by the
+number of families.  The swap stays because the swap checks and the swapped
+classification of a cell query (b, a) between the (a, b) calls of that cell.
+The family test runs inside the cached function, that is on misses only, so
+the hit path that the classification scans and the tower report take, a few
+small classes re-queried many times, costs nothing extra.  Correctness does
+not depend on the cache, and the Serre recursion stays inside one family.
+The strips x = -1 and y = -1 stay out of the cache: each is a relative O(-1)
+for one of the two scroll structures (X is also a P^1-bundle over F_b, with
+x and y swapped), so all its cohomology vanishes and h_scroll answers
+ZERO_COHOMOLOGY before the lookup.  Serre duality maps x <= -2 to x >= 0 and
+keeps y off -1, so the recursion never reaches a strip either.  Each miss
+interns its vector in a module table seeded with ZERO_COHOMOLOGY, so the
+cache holds one shared, immutable CohomologyVector per distinct value, and
+h_scroll hands that same object to every caller.
 """
 
 from __future__ import annotations
@@ -116,11 +124,19 @@ def h_hirzebruch(a: int, alpha: int, beta: int) -> CohomologyVector:
 
 # One shared instance per distinct value the cache holds.
 _VECTORS = {ZERO_COHOMOLOGY: ZERO_COHOMOLOGY}
+# The (a, b) whose family the cache holds.
+_family = None
 
 
 @lru_cache(maxsize=None)
 def _h_scroll(a: int, b: int, x: int, y: int, z: int) -> CohomologyVector:
     """Any class off the strips x = -1 and y = -1."""
+    global _family
+    if _family != (a, b) and _family != (b, a):
+        _h_scroll.cache_clear()
+        _VECTORS.clear()
+        _VECTORS[ZERO_COHOMOLOGY] = ZERO_COHOMOLOGY
+        _family = (a, b)
     if x >= 0:
         h0 = h1 = h2 = 0
         for j in range(x + 1):

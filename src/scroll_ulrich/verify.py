@@ -10,7 +10,11 @@ fixed-grid checks (cohomology box at representative parameters, tower,
 instanton) run once.  The cohomology box of a cell reads only (a, b), and
 the boxes of one (a, b) column are nested in z, so the CLI sweeps the box
 once per column (`cohomology_failures` at the column's largest c) and each
-cell reads its own first failures from that sweep.
+cell reads its own first failures from that sweep.  Where (a, b) is also
+the family of a representative triple, that one sweep covers the union of
+the column box and the representative box, and the representative rows
+read their first failures from it too; so each family's cohomology is
+swept once, while the cohomology cache still holds that family.
 
 The library computes and this module checks.  These live only here: the
 O(1) certificate that the classification scan misses no Ulrich bundle,
@@ -198,19 +202,32 @@ _COHOMOLOGY_CLAIMS = (
     ("cohomology-degree-bounds", "degree bound violated"),
 )
 
+_REPRESENTATIVE_C = {(a, b): c for a, b, c in REPRESENTATIVE_PARAMS}
 
-def cohomology_failures(params: ScrollParams, span: int = 3) -> Failures:
-    """Every failure (check, class) of the box |x|, |y| <= span, |z| <= c + 4, in (x, y, z) order.
 
-    h_scroll, chi_closed_form and serre_dual read only (a, b), and the boxes
-    of one (a, b) column are nested in z; so this list, swept at the
-    column's largest c, holds every smaller box's failures in that box's own
-    order, and a box's first failure is the first here with |z| <= c + 4.
+def _in_box(div: DivisorClass, span: int, c: int) -> bool:
+    return abs(div.x) <= span and abs(div.y) <= span and abs(div.z) <= c + 4
+
+
+def cohomology_failures(params: ScrollParams, representative: bool = False) -> Failures:
+    """Every failure (check, class) of the box |x|, |y| <= 3, |z| <= c + 4, in (x, y, z) order.
+
+    With `representative`, and where REPRESENTATIVE_PARAMS has a triple
+    (a, b, c'), the sweep covers the union of that box and the
+    representative box |x|, |y| <= 5, |z| <= c' + 4.  h_scroll,
+    chi_closed_form and serre_dual read only (a, b), and the boxes of one
+    (a, b) column are nested in z; so this list, swept at the column's
+    largest c, holds every box's failures in that box's own order, and a
+    box's first failure is the first here inside it.
     """
+    boxes = [(3, params.c)]
+    if representative and (params.a, params.b) in _REPRESENTATIVE_C:
+        boxes.append((5, _REPRESENTATIVE_C[params.a, params.b]))
+    reach = max(s for s, _ in boxes)
     failures = []
-    zmax = params.c + 4
-    for x in range(-span, span + 1):
-        for y in range(-span, span + 1):
+    for x in range(-reach, reach + 1):
+        for y in range(-reach, reach + 1):
+            zmax = max(c + 4 for s, c in boxes if abs(x) <= s and abs(y) <= s)
             for z in range(-zmax, zmax + 1):
                 div = DivisorClass(x, y, z)
                 vec = h_scroll(params, div)
@@ -226,14 +243,15 @@ def cohomology_failures(params: ScrollParams, span: int = 3) -> Failures:
     return failures
 
 
-def _cohomology_checks(col: _Collector, params: ScrollParams, failures: Failures | None = None):
-    """One row per claim of the box; `failures` may come from a larger box of the column."""
+def _cohomology_checks(
+    col: _Collector, params: ScrollParams, failures: Failures | None = None, span: int = 3
+):
+    """One row per claim of the box; `failures` may come from a sweep that covers it."""
     if failures is None:
         failures = cohomology_failures(params)
-    zmax = params.c + 4
     for name, what in _COHOMOLOGY_CLAIMS:
-        col.first(name, (f"{what} at {div.as_tuple()}"
-                         for check, div in failures if check == name and abs(div.z) <= zmax))
+        col.first(name, (f"{what} at {div.as_tuple()}" for check, div in failures
+                         if check == name and _in_box(div, span, params.c)))
 
 
 def _expected_cases(params: ScrollParams) -> set[int]:
@@ -465,13 +483,20 @@ def run_cell_checks(
     return col.results
 
 
-def run_cohomology_box_checks() -> list[CheckResult]:
-    """The chi-oracle and Serre box at the six representative parameters."""
+def run_cohomology_box_checks(swept: dict[tuple[int, int], Failures]) -> list[CheckResult]:
+    """The chi-oracle and Serre box at the six representative parameters.
+
+    `swept` maps an (a, b) to its column's cohomology_failures with
+    `representative`; a family that it lacks is swept here on its own.
+    """
     out = []
     for a, b, c in REPRESENTATIVE_PARAMS:
         col = _Collector(a, b, c)
         params = ScrollParams(a, b, c)
-        _cohomology_checks(col, params, cohomology_failures(params, span=5))
+        failures = swept.get((a, b))
+        if failures is None:  # the representative box contains the cell box of its own c
+            failures = cohomology_failures(params, representative=True)
+        _cohomology_checks(col, params, failures, span=5)
         out.extend(
             CheckResult(a, b, c, r.check + "-representative-box", r.ok, r.detail)
             for r in col.results

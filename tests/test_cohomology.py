@@ -11,7 +11,11 @@ term-by-term P^1 pushforward (`h_pushforward`), the Riemann-Roch polynomial,
 and Hirzebruch-Riemann-Roch computed in the Chow ring alone.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,7 @@ from scroll_ulrich import (
     serre_dual,
 )
 from scroll_ulrich import cohomology as cohmod
+from scroll_ulrich import verify
 from scroll_ulrich.chow import Codim2Class, mul_div_c2, mul_div_div, triple
 from scroll_ulrich.cli import main
 from scroll_ulrich.cohomology import ZERO_COHOMOLOGY
@@ -305,12 +310,71 @@ def test_strips_against_pushforward_loop(a, b, other, on_x_strip, z):
     assert h_scroll(p, DivisorClass(x, y, z)).as_tuple() == h_pushforward(a, b, x, y, z)
 
 
-def test_verify_cache_size_is_bounded(capsys):
-    # with the strips in the cache, this grid left 21,806 entries
+def test_cache_holds_one_family():
+    p, swap, other = ScrollParams(0, 1, 2), ScrollParams(1, 0, 2), ScrollParams(2, 3, 6)
+    d, d_swap, d_other = DivisorClass(2, 1, 3), DivisorClass(3, 0, -2), DivisorClass(1, 2, 5)
     cohmod._h_scroll.cache_clear()
-    assert main(["verify", "--a", "0..1", "--b", "0..1", "--normalize"]) == 0
+    h_scroll(p, d)
+    h_scroll(swap, d_swap)
+    info = cohmod._h_scroll.cache_info()
+    h_scroll(p, d)
+    h_scroll(swap, d_swap)
+    assert cohmod._h_scroll.cache_info()[:2] == (info.hits + 2, info.misses)
+
+    vec = h_scroll(other, d_other)
+    assert cohmod._h_scroll.cache_info().currsize == 1
+    assert set(cohmod._VECTORS) <= {ZERO_COHOMOLOGY, vec}
+
+    classes = [DivisorClass(x, y, z) for x in (-4, 0, 2) for y in (-3, 0, 3) for z in (-7, 0, 7)]
+    for q in (p, other, swap, p):
+        for c in classes:
+            assert h_scroll(q, c).as_tuple() == h_pushforward(q.a, q.b, c.x, c.y, c.z)
+
+
+def _largest_cache_after_a_cell(monkeypatch, capsys, grid):
+    sizes = []
+    run_cell_checks = verify.run_cell_checks
+
+    def recorded(*args):
+        rows = run_cell_checks(*args)
+        sizes.append(cohmod._h_scroll.cache_info().currsize)
+        return rows
+
+    monkeypatch.setattr(verify, "run_cell_checks", recorded)
+    cohmod._h_scroll.cache_clear()
+    assert main(["verify", "--a", grid, "--b", grid, "--normalize"]) == 0
     capsys.readouterr()
-    assert cohmod._h_scroll.cache_info().currsize <= 17_440
+    return max(sizes)
+
+
+def test_verify_cache_size_is_bounded(monkeypatch, capsys):
+    # a cache of every family ended 0..3 with 33,398 entries and kept growing
+    assert _largest_cache_after_a_cell(monkeypatch, capsys, "0..6") <= _largest_cache_after_a_cell(
+        monkeypatch, capsys, "0..3"
+    )
+
+
+def _verify_peak_kb(grid):
+    """VmHWM of a fresh process that runs verify on grid x grid; ru_maxrss
+    would read the parent's high-water mark, inherited across fork and exec."""
+    code = (
+        "import sys; from scroll_ulrich.cli import main; "
+        "main(['verify', '--a', sys.argv[1], '--b', sys.argv[1], '--normalize']); "
+        "print(*[l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')], "
+        "file=sys.stderr)"
+    )
+    path = [str(Path(cohmod.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", code, grid], env=env, capture_output=True, text=True, check=True
+    )
+    return int(out.stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM, Linux only")
+def test_verify_peak_memory_does_not_grow_with_the_grid():
+    # with a cache of every family, 0..6 peaked about 14 MB above 0..1
+    assert _verify_peak_kb("0..6") - _verify_peak_kb("0..1") < 3 * 1024
 
 
 def test_shared_vector_is_immutable():

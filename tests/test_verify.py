@@ -152,7 +152,8 @@ def test_each_triple_is_classified_once(monkeypatch):
 
 
 def test_each_column_is_swept_once(monkeypatch, capsys):
-    """One cohomology sweep per (a, b) column, at its largest c, then the representative boxes."""
+    """One cohomology sweep per (a, b) column, at its largest c, that also covers the
+    representative box of its family; then one per representative family outside the grid."""
     calls = []
     original = verify.chi_closed_form
 
@@ -164,12 +165,13 @@ def test_each_column_is_swept_once(monkeypatch, capsys):
     monkeypatch.setattr(verify, "chi_closed_form", counted)
     assert main(["verify", "--a", "0..1", "--b", "0..1", "--normalize"]) == EXIT_OK
     capsys.readouterr()
-    assert calls == [(0, 0, 6), (0, 1, 7), (1, 1, 8), *verify.REPRESENTATIVE_PARAMS]
+    assert calls == [(0, 0, 6), (0, 1, 7), (1, 1, 8), (0, 2, 4), (1, 2, 4), (2, 3, 6)]
 
 
 @pytest.mark.parametrize("where, failing", [
     ((0, 0, 8), {4}),  # inside only the largest box of the column
-    ((0, 0, 0), {2, 3, 4}),  # inside every box
+    ((0, 0, 0), {2, 3, 4, "representative"}),  # inside every box
+    ((4, 0, 0), {"representative"}),  # inside only the representative box (0, 1, 2)
 ])
 def test_column_sweep_reports_each_cells_own_first_failure(monkeypatch, capsys, where, failing):
     chi = verify.chi_closed_form
@@ -181,6 +183,9 @@ def test_column_sweep_reports_each_cells_own_first_failure(monkeypatch, capsys, 
         (0, 1, c, "FAIL", f"chi mismatch at {where}") if c in failing else (0, 1, c, "pass", "")
         for c in (2, 3, 4)
     ]
+    (box,) = [r[4:] for r in checks["rows"]
+              if r[:4] == [0, 1, 2, "cohomology-chi-oracle-representative-box"]]
+    assert box == (["FAIL", f"chi mismatch at {where}"] if "representative" in failing else ["pass", ""])
 
 
 def _tower_failures():
