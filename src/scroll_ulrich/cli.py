@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import groupby
 from typing import NamedTuple
 
@@ -159,6 +159,25 @@ def _cells(args) -> Iterator[tuple[int, int, int, ScrollParams | None, bool]]:
                 yield aa, bb, c, params, normalized
 
 
+def _family(cell: tuple) -> tuple[int, int]:
+    """The (a, b) family of a cell; (b, a) is the same threefolds over F_b."""
+    a, b = cell[:2]
+    return min(a, b), max(a, b)
+
+
+def _by_family(cells: list, work: Callable) -> list:
+    """[work(cell) for cell in cells], worked one family at a time.
+
+    The cohomology cache keeps one family, and grid order (a outermost)
+    returns to a family after others; so the cells are worked in family
+    order, grid order within each, and the results come back in grid order.
+    """
+    out = [None] * len(cells)
+    for i in sorted(range(len(cells)), key=lambda i: _family(cells[i])):
+        out[i] = work(cells[i])
+    return out
+
+
 def _coeffs(t: tuple[int, ...]) -> str:
     """A class or coefficient tuple as 'x,y,z'."""
     return ",".join(map(str, t))
@@ -170,28 +189,30 @@ def cmd_classify(args) -> tuple[Report, int]:
         ["a", "b", "c", "status", "tag", "divisor", "dual_tag", "dual", "h0", "slope"],
         [],
     )
-    counted = skipped = 0
     cells = list(_cells(args))
-    for a, b, c, params, normalized in cells:
+
+    def rows(cell):
+        a, b, c, params, normalized = cell
         if params is None:
-            table.rows.append([a, b, c, "skipped", "", "", "", "", "", ""])
-            skipped += 1
-            continue
+            return [[a, b, c, "skipped", "", "", "", "", "", ""]]
         status = "normalized" if normalized else "ok"
-        for rec in classify_ulrich_line_bundles(params):
-            table.rows.append(
-                [
-                    a, b, c, status,
-                    rec.tag,
-                    _coeffs(rec.divisor),
-                    DUAL_TAG[rec.tag],
-                    _coeffs(rec.special_pairing),
-                    h_scroll(params, rec.divisor).h0,
-                    str(slope(params, rec.divisor, 1)),
-                ]
-            )
-            counted += 1
-    meta = {"bundles": counted, "cells": len(cells), "skipped_cells": skipped}
+        return [
+            [
+                a, b, c, status,
+                rec.tag,
+                _coeffs(rec.divisor),
+                DUAL_TAG[rec.tag],
+                _coeffs(rec.special_pairing),
+                h_scroll(params, rec.divisor).h0,
+                str(slope(params, rec.divisor, 1)),
+            ]
+            for rec in classify_ulrich_line_bundles(params)
+        ]
+
+    for cell_rows in _by_family(cells, rows):
+        table.rows.extend(cell_rows)
+    skipped = sum(params is None for _, _, _, params, _ in cells)
+    meta = {"bundles": len(table.rows) - skipped, "cells": len(cells), "skipped_cells": skipped}
     return Report("classify", meta, [table]), EXIT_OK
 
 
@@ -246,32 +267,40 @@ def cmd_ext_table(args) -> tuple[Report, int]:
         ["a", "b", "c", "case", "kind", "dimension", "generically_smooth", "special", "note"],
         [],
     )
-    skipped = 0
-    for a, b, c, params, _ in _cells(args):
+    cells = list(_cells(args))
+
+    def rows(cell):
+        a, b, c, params, _ = cell
         if params is None:
-            skipped += 1
-            continue
+            return [], []
         recs = enumerate_cases(params, classify_ulrich_line_bundles(params))
-        for r in recs:
-            records.rows.append(
-                [
-                    a, b, c, r.case_id, r.sub_tag, r.quot_tag,
-                    _coeffs(r.sub), _coeffs(r.quotient), r.ext_dim,
-                    _coeffs(r.c1), _coeffs(r.c2),
-                    r.chi_endo, r.h2_endo, r.special,
-                    _coeffs(r.c1_twisted), _coeffs(r.c2_twisted),
-                    r.obstruction.from_base_a, r.obstruction.from_base_b,
-                    r.pullback_obstructed,
-                ]
-            )
+        record_rows = [
+            [
+                a, b, c, r.case_id, r.sub_tag, r.quot_tag,
+                _coeffs(r.sub), _coeffs(r.quotient), r.ext_dim,
+                _coeffs(r.c1), _coeffs(r.c2),
+                r.chi_endo, r.h2_endo, r.special,
+                _coeffs(r.c1_twisted), _coeffs(r.c2_twisted),
+                r.obstruction.from_base_a, r.obstruction.from_base_b,
+                r.pullback_obstructed,
+            ]
+            for r in recs
+        ]
+        prediction_rows = []
         for case_id in sorted({r.case_id for r in recs}):
             p = moduli_prediction(params, case_id)
-            predictions.rows.append(
+            prediction_rows.append(
                 [
                     a, b, c, case_id, p.dimension_kind, p.dimension,
                     p.generically_smooth, p.special, p.branch_note,
                 ]
             )
+        return record_rows, prediction_rows
+
+    for record_rows, prediction_rows in _by_family(cells, rows):
+        records.rows.extend(record_rows)
+        predictions.rows.extend(prediction_rows)
+    skipped = sum(params is None for _, _, _, params, _ in cells)
     meta = {"records": len(records.rows), "skipped_cells": skipped}
     return Report("ext-table", meta, [records, predictions]), EXIT_OK
 
@@ -330,7 +359,12 @@ def cmd_instanton(args) -> tuple[Report, int]:
 
 
 def cmd_verify(args) -> tuple[Report, int]:
-    cells = sorted({(a, b, c) for a, b, c, params, _ in _cells(args) if params is not None})
+    # one family after another, as the cohomology cache keeps them; results
+    # are sorted again below
+    cells = sorted(
+        {(a, b, c) for a, b, c, params, _ in _cells(args) if params is not None},
+        key=lambda cell: (_family(cell), cell),
+    )
     if not cells:
         raise ConfigError("no valid cells in the grid")
 
@@ -341,7 +375,7 @@ def cmd_verify(args) -> tuple[Report, int]:
     swept = {}
     for ab, column in groupby(cells, key=lambda cell: cell[:2]):
         column = list(column)
-        failures = verify_mod.cohomology_failures(ScrollParams(*column[-1]), representative=True)
+        failures = verify_mod.cohomology_failures(ScrollParams(*column[-1]))
         swept[ab] = failures
         for cell in column:
             results.extend(verify_mod.run_cell_checks(cell, failures))

@@ -34,6 +34,8 @@ A miss from any other pair first empties the cache and the intern table
 below, so memory is bounded by the largest family a run touches, not by the
 number of families.  The swap stays because the swap checks and the swapped
 classification of a cell query (b, a) between the (a, b) calls of that cell.
+The CLI's grid commands work their cells one family at a time for the same
+reason, and hand the rows back in grid order.
 The family test runs inside the cached function, that is on misses only, so
 the hit path that the classification scans and the tower report take, a few
 small classes re-queried many times, costs nothing extra.  Correctness does

@@ -209,19 +209,19 @@ def _in_box(div: DivisorClass, span: int, c: int) -> bool:
     return abs(div.x) <= span and abs(div.y) <= span and abs(div.z) <= c + 4
 
 
-def cohomology_failures(params: ScrollParams, representative: bool = False) -> Failures:
+def cohomology_failures(params: ScrollParams) -> Failures:
     """Every failure (check, class) of the box |x|, |y| <= 3, |z| <= c + 4, in (x, y, z) order.
 
-    With `representative`, and where REPRESENTATIVE_PARAMS has a triple
-    (a, b, c'), the sweep covers the union of that box and the
-    representative box |x|, |y| <= 5, |z| <= c' + 4.  h_scroll,
-    chi_closed_form and serre_dual read only (a, b), and the boxes of one
-    (a, b) column are nested in z; so this list, swept at the column's
-    largest c, holds every box's failures in that box's own order, and a
-    box's first failure is the first here inside it.
+    Where REPRESENTATIVE_PARAMS has a triple (a, b, c'), the sweep covers
+    the union of that box and the representative box |x|, |y| <= 5,
+    |z| <= c' + 4.  h_scroll, chi_closed_form and serre_dual read only
+    (a, b), and the boxes of one (a, b) column are nested in z; so this
+    list, swept at the column's largest c, holds every box's failures in
+    that box's own order, and a box's first failure is the first here
+    inside it.
     """
     boxes = [(3, params.c)]
-    if representative and (params.a, params.b) in _REPRESENTATIVE_C:
+    if (params.a, params.b) in _REPRESENTATIVE_C:
         boxes.append((5, _REPRESENTATIVE_C[params.a, params.b]))
     reach = max(s for s, _ in boxes)
     failures = []
@@ -486,8 +486,8 @@ def run_cell_checks(
 def run_cohomology_box_checks(swept: dict[tuple[int, int], Failures]) -> list[CheckResult]:
     """The chi-oracle and Serre box at the six representative parameters.
 
-    `swept` maps an (a, b) to its column's cohomology_failures with
-    `representative`; a family that it lacks is swept here on its own.
+    `swept` maps an (a, b) to its column's cohomology_failures; a family
+    that it lacks is swept here on its own.
     """
     out = []
     for a, b, c in REPRESENTATIVE_PARAMS:
@@ -495,7 +495,7 @@ def run_cohomology_box_checks(swept: dict[tuple[int, int], Failures]) -> list[Ch
         params = ScrollParams(a, b, c)
         failures = swept.get((a, b))
         if failures is None:  # the representative box contains the cell box of its own c
-            failures = cohomology_failures(params, representative=True)
+            failures = cohomology_failures(params)
         _cohomology_checks(col, params, failures, span=5)
         out.extend(
             CheckResult(a, b, c, r.check + "-representative-box", r.ok, r.detail)
