@@ -15,7 +15,6 @@ import io
 import json
 import sys
 from collections.abc import Callable, Iterator
-from itertools import groupby
 from typing import NamedTuple
 
 from .chow import DivisorClass, ScrollParams, mul_div_c2, mul_div_div, numerical_invariants
@@ -369,16 +368,11 @@ def cmd_verify(args) -> tuple[Report, int]:
         raise ConfigError("no valid cells in the grid")
 
     results = []
-    # a cell's cohomology box reads only (a, b) and is nested in the boxes of
-    # larger c: sweep each column once, at its largest c, together with the
-    # representative box of its (a, b), while the cohomology cache holds it
-    swept = {}
-    for ab, column in groupby(cells, key=lambda cell: cell[:2]):
-        column = list(column)
-        failures = verify_mod.cohomology_failures(ScrollParams(*column[-1]))
-        swept[ab] = failures
-        for cell in column:
-            results.extend(verify_mod.run_cell_checks(cell, failures))
+    swept = {}  # one cohomology sweep per (a, b), which every c of it reads
+    for cell in cells:
+        if cell[:2] not in swept:
+            swept[cell[:2]] = verify_mod.cohomology_failures(ScrollParams(*cell))
+        results.extend(verify_mod.run_cell_checks(cell, swept[cell[:2]]))
     results.extend(verify_mod.run_cohomology_box_checks(swept))
     results.extend(verify_mod.run_tower_checks())
     results.extend(verify_mod.run_instanton_checks())

@@ -7,14 +7,10 @@ messages, which `_Collector.first` turns into one row that fails with the
 first message, so a defect fails a row and never stops the run.  Cell
 checks run per parameter triple, one cell after another in one process; the
 fixed-grid checks (cohomology box at representative parameters, tower,
-instanton) run once.  The cohomology box of a cell reads only (a, b), and
-the boxes of one (a, b) column are nested in z, so the CLI sweeps the box
-once per column (`cohomology_failures` at the column's largest c) and each
-cell reads its own first failures from that sweep.  Where (a, b) is also
-the family of a representative triple, that one sweep covers the union of
-the column box and the representative box, and the representative rows
-read their first failures from it too; so each family's cohomology is
-swept once, while the cohomology cache still holds that family.
+instanton) run once.  The cohomology box reads (a, b) and not c, so the CLI
+sweeps it once per (a, b) (`cohomology_failures`), and every cell and
+representative row of that family reads its first failures from that sweep
+while the cohomology cache still holds the family.
 
 The library computes and this module checks.  These live only here: the
 O(1) certificate that the classification scan misses no Ulrich bundle,
@@ -202,33 +198,43 @@ _COHOMOLOGY_CLAIMS = (
     ("cohomology-degree-bounds", "degree bound violated"),
 )
 
-_REPRESENTATIVE_C = {(a, b): c for a, b, c in REPRESENTATIVE_PARAMS}
+_REPRESENTATIVE_FAMILIES = {(a, b) for a, b, _ in REPRESENTATIVE_PARAMS}
 
 
-def _in_box(div: DivisorClass, span: int, c: int) -> bool:
-    return abs(div.x) <= span and abs(div.y) <= span and abs(div.z) <= c + 4
+def _walls(a: int, b: int, x: int, y: int) -> tuple[int, int]:
+    """The least and the greatest z where some h^i of the line (x, y, *) changes slope."""
+    if x == -1 or y == -1:
+        return 0, 0
+    if x <= -2:  # the walls of the Serre-dual line, mapped back
+        lo, hi = _walls(a, b, -2 - x, -2 - y)
+        return -(a + b + 2) - hi, -(a + b + 2) - lo
+    if y >= 0:
+        return -1, x * b + y * a - 1
+    return (y + 1) * a - 1, x * b - a - 1
 
 
 def cohomology_failures(params: ScrollParams) -> Failures:
-    """Every failure (check, class) of the box |x|, |y| <= 3, |z| <= c + 4, in (x, y, z) order.
+    """Every failure (check, class) of the box, in (x, y, z) order.
 
-    Where REPRESENTATIVE_PARAMS has a triple (a, b, c'), the sweep covers
-    the union of that box and the representative box |x|, |y| <= 5,
-    |z| <= c' + 4.  h_scroll, chi_closed_form and serre_dual read only
-    (a, b), and the boxes of one (a, b) column are nested in z; so this
-    list, swept at the column's largest c, holds every box's failures in
-    that box's own order, and a box's first failure is the first here
-    inside it.
+    The box: the lines (x, y) with |x|, |y| <= 3 (5 for a family of
+    REPRESENTATIVE_PARAMS), each at lo - 1 <= z <= hi + 1 for (lo, hi) =
+    _walls(a, b, x, y).  Certificate that the claims hold at every integer z,
+    whatever c is.  For x, y >= 0, h^0 and h^1 sum max(+-(z - jb - ka + 1), 0)
+    over 0 <= j <= x, 0 <= k <= y, and h^2 = h^3 = 0, so each h^i changes slope
+    only at the walls z = jb + ka - 1; Serre duality on F_a (y <= -2) and on X
+    (x <= -2, z -> -(a+b+2) - z) gives the other branches of _walls, and the
+    strips are zero.  So off [lo, hi] every h^i of the line and of its Serre
+    image is affine in z, as chi_closed_form is: an equality at lo - 1 and lo
+    (hi and hi + 1) holds on the whole ray, and so does h^i >= 0 where h^i does
+    not decrease outward, which the degree-bounds row checks at each outer point.
     """
-    boxes = [(3, params.c)]
-    if (params.a, params.b) in _REPRESENTATIVE_C:
-        boxes.append((5, _REPRESENTATIVE_C[params.a, params.b]))
-    reach = max(s for s, _ in boxes)
+    a, b = params.a, params.b
+    reach = 5 if (a, b) in _REPRESENTATIVE_FAMILIES else 3
     failures = []
     for x in range(-reach, reach + 1):
         for y in range(-reach, reach + 1):
-            zmax = max(c + 4 for s, c in boxes if abs(x) <= s and abs(y) <= s)
-            for z in range(-zmax, zmax + 1):
+            lo, hi = _walls(a, b, x, y)
+            for z in range(lo - 1, hi + 2):
                 div = DivisorClass(x, y, z)
                 vec = h_scroll(params, div)
                 h0, h1, h2, h3 = vec
@@ -238,7 +244,9 @@ def cohomology_failures(params: ScrollParams) -> Failures:
                     failures.append(("cohomology-serre-duality", div))
                 if (x == -1 or y == -1) and any(vec):
                     failures.append(("cohomology-vanishing-strip", div))
-                if min(vec) < 0 or (x >= 0 and h3 != 0):
+                edge = min(max(z, lo), hi)  # z, or the wall next to an outer point
+                inner = vec if edge == z else h_scroll(params, DivisorClass(x, y, edge))
+                if min(vec) < 0 or (x >= 0 and h3 != 0) or any(u < v for u, v in zip(vec, inner)):
                     failures.append(("cohomology-degree-bounds", div))
     return failures
 
@@ -246,12 +254,12 @@ def cohomology_failures(params: ScrollParams) -> Failures:
 def _cohomology_checks(
     col: _Collector, params: ScrollParams, failures: Failures | None = None, span: int = 3
 ):
-    """One row per claim of the box; `failures` may come from a sweep that covers it."""
+    """One row per claim of the box |x|, |y| <= span; `failures` may come from a wider sweep."""
     if failures is None:
         failures = cohomology_failures(params)
     for name, what in _COHOMOLOGY_CLAIMS:
         col.first(name, (f"{what} at {div.as_tuple()}" for check, div in failures
-                         if check == name and _in_box(div, span, params.c)))
+                         if check == name and abs(div.x) <= span and abs(div.y) <= span))
 
 
 def _expected_cases(params: ScrollParams) -> set[int]:
@@ -462,8 +470,7 @@ def _moduli_checks(col: _Collector, params: ScrollParams):
 def run_cell_checks(
     cell: tuple[int, int, int], cohomology: Failures | None = None
 ) -> list[CheckResult]:
-    """Every check of one triple; `cohomology` may be the cohomology_failures
-    of a cell of the same (a, b) with c at least this one's."""
+    """Every check of one triple; `cohomology` may be cohomology_failures of its (a, b)."""
     a, b, c = cell
     col = _Collector(a, b, c)
     params = ScrollParams(a, b, c)
@@ -484,18 +491,15 @@ def run_cell_checks(
 
 
 def run_cohomology_box_checks(swept: dict[tuple[int, int], Failures]) -> list[CheckResult]:
-    """The chi-oracle and Serre box at the six representative parameters.
+    """The four cohomology claims on |x|, |y| <= 5 at the six representative parameters.
 
-    `swept` maps an (a, b) to its column's cohomology_failures; a family
-    that it lacks is swept here on its own.
+    `swept` maps (a, b) to its cohomology_failures; a family it lacks is swept here.
     """
     out = []
     for a, b, c in REPRESENTATIVE_PARAMS:
         col = _Collector(a, b, c)
         params = ScrollParams(a, b, c)
-        failures = swept.get((a, b))
-        if failures is None:  # the representative box contains the cell box of its own c
-            failures = cohomology_failures(params)
+        failures = swept[a, b] if (a, b) in swept else cohomology_failures(params)
         _cohomology_checks(col, params, failures, span=5)
         out.extend(
             CheckResult(a, b, c, r.check + "-representative-box", r.ok, r.detail)

@@ -349,7 +349,7 @@ def _largest_cache_after_a_cell(monkeypatch, capsys, grid):
 
 def test_verify_cache_size_is_bounded(monkeypatch, capsys):
     # a cache of every family ended 0..3 with 33,398 entries and kept growing;
-    # the largest family of 0..4 and of 0..6 is already in 0..3
+    # the largest family of 0..4 is already in 0..3
     assert _largest_cache_after_a_cell(monkeypatch, capsys, "0..4") <= _largest_cache_after_a_cell(
         monkeypatch, capsys, "0..3"
     )

@@ -152,24 +152,38 @@ def test_each_triple_is_classified_once(monkeypatch):
 
 
 def test_each_column_is_swept_once(monkeypatch, capsys):
-    """One cohomology sweep per (a, b) column, at its largest c, that also covers the
-    representative box of its family; then one per representative family outside the grid."""
+    """One cohomology sweep per (a, b), which also serves the representative box of its
+    family; then one per representative family outside the grid."""
     calls = []
     original = verify.chi_closed_form
 
     def counted(params, div):
-        if div.as_tuple() == (-3, -3, 0):  # a corner of every box, outside the scan certificate
-            calls.append((params.a, params.b, params.c))
+        if div.as_tuple() == (-1, -1, 0):  # on the strips, inside every family's walls
+            calls.append((params.a, params.b))
         return original(params, div)
 
     monkeypatch.setattr(verify, "chi_closed_form", counted)
     assert main(["verify", "--a", "0..1", "--b", "0..1", "--normalize"]) == EXIT_OK
     capsys.readouterr()
-    assert calls == [(0, 0, 6), (0, 1, 7), (1, 1, 8), (0, 2, 4), (1, 2, 4), (2, 3, 6)]
+    assert calls == [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("c", [3, 300])
+def test_cohomology_sweep_is_constant_size(monkeypatch, c):
+    calls = []
+    original = verify.chi_closed_form
+
+    def counted(params, div):
+        calls.append(div)
+        return original(params, div)
+
+    monkeypatch.setattr(verify, "chi_closed_form", counted)
+    assert verify.cohomology_failures(ScrollParams(0, 1, c)) == []
+    assert len(calls) == 573
 
 
 @pytest.mark.parametrize("where, failing", [
-    ((0, 0, 8), {4}),  # inside only the largest box of the column
+    ((3, 3, 3), {2, 3, 4, "representative"}),  # one past the upper wall of the line (3, 3)
     ((0, 0, 0), {2, 3, 4, "representative"}),  # inside every box
     ((4, 0, 0), {"representative"}),  # inside only the representative box (0, 1, 2)
 ])
@@ -330,6 +344,82 @@ def test_h3_of_an_effective_class_is_caught(monkeypatch, capsys):
 
     monkeypatch.setattr(verify, "h_scroll", mutant)
     assert "cohomology-degree-bounds" in _cli_failures((0, 1, 3), capsys)
+
+
+@pytest.fixture
+def fresh_h_cache():
+    """Empty the h_scroll cache before and after, so that no mutated vector outlives the test."""
+    clear = cohomology._h_scroll.cache_clear
+    clear()
+    yield
+    clear()
+
+
+def test_h_falling_past_the_upper_wall_is_caught(fresh_h_cache, monkeypatch, capsys):
+    # h^0 and h^1 of the line (3, 3) both gain hi + 10**6 - z past its upper wall hi:
+    # chi, Serre duality and every swept value hold, only the outward slope is wrong
+    original = cohomology._h_scroll
+
+    def mutant(a, b, x, y, z):
+        vec = original(a, b, x, y, z)
+        hi = 3 * b + 3 * a - 1
+        if (x, y) != (3, 3) or z < hi:
+            return vec
+        t = hi + 10**6 - z
+        return vec._replace(h0=vec.h0 + t, h1=vec.h1 + t)
+
+    mutant.cache_clear = original.cache_clear  # a new family clears by the global name
+    monkeypatch.setattr(cohomology, "_h_scroll", mutant)
+    assert _cli_failures((1, 2, 4), capsys) == {
+        "cohomology-degree-bounds", "cohomology-degree-bounds-representative-box"
+    }
+
+
+def test_chi_defect_beyond_the_old_box_is_caught(monkeypatch, capsys):
+    # (5, 5, 24) is on the upper wall of its line for (a, b) = (2, 3), outside the
+    # box |z| <= c + 4 = 10 of the representative triple (2, 3, 6)
+    chi = verify.chi_closed_form
+    monkeypatch.setattr(verify, "chi_closed_form",
+                        lambda p, d: chi(p, d) + (d.as_tuple() == (5, 5, 24)))
+    assert _cli_failures((2, 3, 6), capsys) == {"cohomology-chi-oracle-representative-box"}
+
+
+_CLIPPED_SERIES = cohomology._clipped_series
+
+
+def _series_of_m_plus_one(c, step, n):
+    """_clipped_series with m(m + 1)/2 in place of m(m - 1)/2."""
+    if c <= 0:
+        return 0
+    m = n if step == 0 else min(n, -(-c // step))
+    return m * c - step * (m * (m + 1) // 2)
+
+
+def _scroll_mutant(js, shift):
+    """_h_scroll, uncached, summing over j in js(x) with the j-th term at z - shift(j, b)."""
+
+    def mutant(a, b, x, y, z):
+        if x < 0:
+            return mutant(a, b, -2 - x, -2 - y, -(a + b + 2) - z).reversed()
+        h = [0, 0, 0]
+        for j in js(x):
+            h = [u + v for u, v in zip(h, cohomology._h_surface(a, y, z - shift(j, b)))]
+        return cohomology.CohomologyVector(*h, 0)
+
+    return mutant
+
+
+@pytest.mark.parametrize("name, replacement", [
+    ("_clipped_series", lambda c, step, n: _CLIPPED_SERIES(c, step, n + 1)),
+    ("_clipped_series", _series_of_m_plus_one),
+    ("_h_scroll", _scroll_mutant(range, lambda j, b: j * b)),
+    ("_h_scroll", _scroll_mutant(lambda x: range(x + 1), lambda j, b: j * b + (j >= 2))),
+], ids=["series-one-term-too-many", "series-m-plus-one", "j-loop-one-short", "step-b-plus-one-at-j-2"])
+def test_structural_cohomology_mutant_is_caught(
+    fresh_h_cache, monkeypatch, capsys, name, replacement
+):
+    monkeypatch.setattr(cohomology, name, replacement)
+    assert "cohomology-chi-oracle" in _cli_failures((1, 2, 4), capsys)
 
 
 def test_ulrich_dual_plus_f_fails_rows_not_the_run(monkeypatch, capsys):
