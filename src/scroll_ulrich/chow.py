@@ -129,10 +129,6 @@ class Codim2Class(NamedTuple):
         return Codim2Class(self.p, self.r, self.q)
 
 
-ZERO_DIVISOR = DivisorClass(0, 0, 0)
-ZERO_CODIM2 = Codim2Class(0, 0, 0)
-
-
 def mul_div_div(d1: DivisorClass, d2: DivisorClass, params: ScrollParams) -> Codim2Class:
     """Product of two divisor classes, reduced to the (xi.C0, xi.F, C0.F) basis.
 

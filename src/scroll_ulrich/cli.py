@@ -23,9 +23,9 @@ from .extensions import enumerate_cases, instanton_admissible, moduli_prediction
 from .tower import (
     chi_endo_tower,
     in_tower_hypothesis,
+    iter_tower,
     moduli_dim_gap,
     moduli_dim_tower,
-    tower_chern,
     tower_h1_recursion,
 )
 from .ulrich import DUAL_TAG, classify_ulrich_line_bundles, slope
@@ -320,8 +320,8 @@ def cmd_tower_report(args) -> tuple[Report, int]:
             skipped += 1
             continue
         inside = in_tower_hypothesis(params)
-        for r in range(1, args.rmax + 1):
-            tw = tower_chern(params, r)
+        for tw in iter_tower(params, args.rmax):
+            r = tw.rank
             chern.rows.append(
                 [
                     a, b, c, r,

@@ -8,6 +8,10 @@ the truncated Whitney product,
     c2(G_r) = c2(G_{r-1}) + c1(G_{r-1}) . c1(Q_r),
     c3(G_r) = c3(G_{r-1}) + c2(G_{r-1}) . c1(Q_r).
 
+`iter_tower` carries (c1, c2, c3) forward and yields G_1, ..., G_rmax in one
+pass, one Whitney step per rank; `_quotients` is the one place that spells
+the alternation of the quotients.
+
 This module computes and does not check itself: the closed forms in r of
 the Chern classes, of the chi ladders (-r-2 / -r against the next quotient,
 -r+2 / -r against the last, -r^2+2 / -r^2 for End) and of the h^1 sequence
@@ -24,6 +28,7 @@ the vanishing statements used by its long-exact-sequence derivation.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .chow import Codim2Class, DivisorClass, ScrollParams, mul_div_c2, mul_div_div
@@ -32,20 +37,12 @@ from .ulrich import named_line_bundles
 
 
 class TowerBundle(NamedTuple):
-    """Rank, Chern classes and filtration quotients of G_r."""
+    """Rank and Chern classes of G_r."""
 
     rank: int
     c1: DivisorClass
     c2: Codim2Class
     c3: int
-    quotients: tuple[DivisorClass, ...]
-
-
-def epsilon(r: int) -> int:
-    """1 for odd r, 2 for even r (which of the N pair is the r-th quotient)."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    return 1 if r % 2 else 2
 
 
 def in_tower_hypothesis(params: ScrollParams) -> bool:
@@ -58,28 +55,24 @@ def tower_pair(params: ScrollParams) -> tuple[DivisorClass, DivisorClass]:
     return forms["N_dual"], forms["N"]
 
 
-def tower_quotient(params: ScrollParams, i: int) -> DivisorClass:
-    """Q_i, the i-th quotient of the filtration: N^U for odd i, N for even i."""
-    return tower_pair(params)[epsilon(i) - 1]
-
-
 def _quotients(params: ScrollParams, r: int) -> tuple[DivisorClass, ...]:
+    """Q_1, ..., Q_r: N^U for odd i, N for even i."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    return tuple(tower_quotient(params, i) for i in range(1, r + 1))
+    pair = tower_pair(params)
+    return tuple(pair[i % 2] for i in range(r))
 
 
-def tower_chern(params: ScrollParams, r: int) -> TowerBundle:
-    """G_r by the Whitney recursion."""
-    quotients = _quotients(params, r)
+def iter_tower(params: ScrollParams, r_max: int) -> Iterator[TowerBundle]:
+    """G_1, ..., G_{r_max}, one Whitney step per rank; ValueError on iteration if r_max < 1."""
     c1 = DivisorClass(0, 0, 0)
     c2 = Codim2Class(0, 0, 0)
     c3 = 0
-    for q in quotients:
+    for r, q in enumerate(_quotients(params, r_max), start=1):
         c3 = c3 + mul_div_c2(q, c2, params)
         c2 = c2 + mul_div_div(c1, q, params)
         c1 = c1 + q
-    return TowerBundle(rank=r, c1=c1, c2=c2, c3=c3, quotients=quotients)
+        yield TowerBundle(rank=r, c1=c1, c2=c2, c3=c3)
 
 
 def chi_tower_vs_line(params: ScrollParams, r: int, target: DivisorClass) -> int:
@@ -109,16 +102,11 @@ def tower_h1_recursion(params: ScrollParams, r_max: int) -> list[int]:
     n_dual, n = tower_pair(params)
     seed = h_scroll(params, n_dual - n).h1
     step = h_scroll(params, n - n_dual).h1
-    values: list[int] = []
-    for r in range(1, r_max + 1):
-        if r == 1:
-            s = seed
-        elif r == 2:
-            s = 0 + step  # h^1(G_1 (x) Q_1^dual) = h^1(O_X) = 0, plus the step
-        else:
-            s = (values[r - 3] - 1) + step  # decrement, then the extension step
-        values.append(s)
-    return values
+    # s_2 = h^1(G_1 (x) Q_1^dual) + step, and h^1(G_1 (x) Q_1^dual) = h^1(O_X) = 0
+    values = [seed, step]
+    while len(values) < r_max:
+        values.append(values[-2] - 1 + step)  # decrement, then the extension step
+    return values[:r_max]
 
 
 def moduli_dim_tower(r: int) -> int:

@@ -47,12 +47,11 @@ from .extensions import (
 from .tower import (
     chi_endo_tower,
     chi_tower_vs_line,
+    iter_tower,
     moduli_dim_gap,
     moduli_dim_tower,
-    tower_chern,
     tower_h1_recursion,
     tower_pair,
-    tower_quotient,
 )
 from .ulrich import (
     DUAL_TAG,
@@ -251,12 +250,8 @@ def cohomology_failures(params: ScrollParams) -> Failures:
     return failures
 
 
-def _cohomology_checks(
-    col: _Collector, params: ScrollParams, failures: Failures | None = None, span: int = 3
-):
+def _cohomology_checks(col: _Collector, failures: Failures, span: int = 3):
     """One row per claim of the box |x|, |y| <= span; `failures` may come from a wider sweep."""
-    if failures is None:
-        failures = cohomology_failures(params)
     for name, what in _COHOMOLOGY_CLAIMS:
         col.first(name, (f"{what} at {div.as_tuple()}" for check, div in failures
                          if check == name and abs(div.x) <= span and abs(div.y) <= span))
@@ -467,10 +462,8 @@ def _moduli_checks(col: _Collector, params: ScrollParams):
         col.equal("moduli-case8", (p8.dimension_kind, p8.special), ("point", False))
 
 
-def run_cell_checks(
-    cell: tuple[int, int, int], cohomology: Failures | None = None
-) -> list[CheckResult]:
-    """Every check of one triple; `cohomology` may be cohomology_failures of its (a, b)."""
+def run_cell_checks(cell: tuple[int, int, int], cohomology: Failures) -> list[CheckResult]:
+    """Every check of one triple; `cohomology` is cohomology_failures of its (a, b)."""
     a, b, c = cell
     col = _Collector(a, b, c)
     params = ScrollParams(a, b, c)
@@ -479,7 +472,7 @@ def run_cell_checks(
     bundles = classify_ulrich_line_bundles(params)
     _classification_checks(col, params, bundles)
     _chow_checks(col, params)
-    _cohomology_checks(col, params, cohomology)
+    _cohomology_checks(col, cohomology)
     records = enumerate_cases(params, bundles)
     sw = params.swapped()
     swapped_records = records if a == b else enumerate_cases(sw, classify_ulrich_line_bundles(sw))
@@ -500,7 +493,7 @@ def run_cohomology_box_checks(swept: dict[tuple[int, int], Failures]) -> list[Ch
         col = _Collector(a, b, c)
         params = ScrollParams(a, b, c)
         failures = swept[a, b] if (a, b) in swept else cohomology_failures(params)
-        _cohomology_checks(col, params, failures, span=5)
+        _cohomology_checks(col, failures, span=5)
         out.extend(
             CheckResult(a, b, c, r.check + "-representative-box", r.ok, r.detail)
             for r in col.results
@@ -557,16 +550,16 @@ def _check_tower(params: ScrollParams) -> Iterator[str]:
     h1 = tower_h1_recursion(params, TOWER_RANKS)
     _, d, g = numerical_invariants(params)
     mu = Fraction(d + g - 1)
-    for r in range(1, TOWER_RANKS + 1):
+    for tw in iter_tower(params, TOWER_RANKS):
+        r = tw.rank
         odd = r % 2
-        tw = tower_chern(params, r)
         yield from expect(f"Chern classes at r={r}", (tw.c1, tw.c2, tw.c3),
                           (_closed_c1(params, r), _closed_c2(params, r), _closed_c3(params, r)))
         yield from expect(f"slope at r={r}", slope(params, tw.c1, r), mu)
-        chi_next = chi_tower_vs_line(params, r, tower_quotient(params, r + 1))
+        chi_next = chi_tower_vs_line(params, r, (n_dual, n)[odd])  # Q_{r+1}
         yield from expect(f"chi vs Q_{r + 1} at r={r}", chi_next, -r - 2 if odd else -r)
         yield from expect(f"chi vs Q_{r} at r={r}",
-                          chi_tower_vs_line(params, r, tower_quotient(params, r)),
+                          chi_tower_vs_line(params, r, (n, n_dual)[odd]),
                           -r + 2 if odd else -r)
         chi_end = chi_endo_tower(params, r)
         yield from expect(f"chi(End) at r={r}", chi_end, -r * r + 2 if odd else -r * r)
@@ -614,9 +607,13 @@ def run_tower_checks() -> list[CheckResult]:
     return out
 
 
-def run_instanton_checks(c_max: int = 6) -> list[CheckResult]:
+# The instanton checks run at c = 1..INSTANTON_C_MAX, on the base F_0.
+INSTANTON_C_MAX = 6
+
+
+def run_instanton_checks() -> list[CheckResult]:
     out = []
-    for c in range(1, c_max + 1):
+    for c in range(1, INSTANTON_C_MAX + 1):
         col = _Collector(0, 0, c)
         triples = instanton_admissible(c)
         col.check(

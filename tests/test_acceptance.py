@@ -20,13 +20,13 @@ from scroll_ulrich import (
     chi_tower_vs_line,
     classify_ulrich_line_bundles,
     enumerate_cases,
-    epsilon,
     ext1_dim,
     extension_chern,
     h2_endomorphisms_rank2,
     h_scroll,
     instanton_admissible,
     is_ulrich_line,
+    iter_tower,
     moduli_dim_gap,
     moduli_dim_tower,
     moduli_prediction,
@@ -34,7 +34,6 @@ from scroll_ulrich import (
     numerical_invariants,
     serre_dual,
     slope,
-    tower_chern,
     tower_h1_recursion,
     triple,
     twisted_chern,
@@ -233,16 +232,17 @@ def test_criterion_08_tower():
     ok = True
     for p in TOWER_GRID:
         n_dual, n = tower_pair(p)
-        pick = {1: n_dual, 2: n}
-        for r in range(1, 13):
-            t = tower_chern(p, r)
+        for t in iter_tower(p, 12):
+            r = t.rank
+            q_next, q_last = (n, n_dual) if r % 2 else (n_dual, n)
             ok &= (t.c1, t.c2, t.c3) == (_closed_c1(p, r), _closed_c2(p, r), _closed_c3(p, r))
-            ok &= chi_tower_vs_line(p, r, pick[epsilon(r + 1)]) == (-r - 2 if r % 2 else -r)
-            ok &= chi_tower_vs_line(p, r, pick[epsilon(r)]) == (-r + 2 if r % 2 else -r)
+            ok &= chi_tower_vs_line(p, r, q_next) == (-r - 2 if r % 2 else -r)
+            ok &= chi_tower_vs_line(p, r, q_last) == (-r + 2 if r % 2 else -r)
             ok &= chi_endo_tower(p, r) == (-r * r + 2 if r % 2 else -r * r)
             ok &= moduli_dim_tower(r) == (r * r - 1 if r % 2 else r * r + 1)
             if r >= 2:
                 ok &= moduli_dim_gap(r) == (r + 1 if r % 2 == 0 else r - 2) > 0
+        ok &= r == 12  # every rank was yielded
         seq = tower_h1_recursion(p, 12)
         ok &= seq == [r + 2 if r % 2 else r + 1 for r in range(1, 13)]
     elapsed = time.monotonic() - t0

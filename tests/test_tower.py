@@ -9,15 +9,15 @@ from scroll_ulrich import (
     ScrollParams,
     chi_endo_tower,
     chi_tower_vs_line,
-    epsilon,
+    iter_tower,
     moduli_dim_gap,
     moduli_dim_tower,
     mul_div_div,
     named_line_bundles,
     slope,
-    tower_chern,
     tower_h1_recursion,
 )
+from scroll_ulrich import tower
 from scroll_ulrich.cli import main
 from scroll_ulrich.tower import in_tower_hypothesis, tower_pair
 from scroll_ulrich.verify import _closed_c1, _closed_c2, _closed_c3
@@ -27,28 +27,42 @@ HYP_GRID = [
 ]
 
 
+def _c1_steps(p, r_max):
+    """Q_1, ..., Q_{r_max} read off the tower as successive differences of c1."""
+    c1s = [DivisorClass(0, 0, 0)] + [t.c1 for t in iter_tower(p, r_max)]
+    return [after - before for before, after in zip(c1s, c1s[1:])]
+
+
+def _pick(p, i):
+    """The i-th quotient by parity: N^U for odd i, N for even i."""
+    n_dual, n = tower_pair(p)
+    return n_dual if i % 2 else n
+
+
 def test_epsilon():
-    assert epsilon(1) == 1
-    assert epsilon(2) == 2
-    assert epsilon(7) == 1
+    # which of the N pair is the r-th quotient: N^U (the first) at odd r, N at even r
+    p = ScrollParams(0, 1, 2)
+    n_dual, n = tower_pair(p)
+    q = _c1_steps(p, 7)
+    assert (q[0], q[1], q[6]) == (n_dual, n, n_dual)
+    assert [t.rank for t in iter_tower(p, 7)] == list(range(1, 8))
     with pytest.raises(ValueError):
-        epsilon(0)
+        list(iter_tower(p, 0))
 
 
 def test_rank_one_and_two():
     p = ScrollParams(0, 1, 2)
     f = named_line_bundles(p)
-    t1 = tower_chern(p, 1)
+    t1, t2 = iter_tower(p, 2)
     assert t1.c1 == f["N_dual"]
     assert t1.c2.as_tuple() == (0, 0, 0) and t1.c3 == 0
-    t2 = tower_chern(p, 2)
     assert t2.c1 == f["N"] + f["N_dual"]
     assert t2.c2 == mul_div_div(f["N_dual"], f["N"], p)
-    assert t2.quotients == (f["N_dual"], f["N"])
+    assert _c1_steps(p, 2) == [f["N_dual"], f["N"]]
 
 
 def test_c3_example():
-    t3 = tower_chern(ScrollParams(0, 0, 1), 3)
+    *_, t3 = iter_tower(ScrollParams(0, 0, 1), 3)
     assert t3.c3 == 8  # (r^2 - 1)(r - 2)(2c - b - a - 1)
 
 
@@ -56,8 +70,8 @@ def test_recursion_matches_closed_forms_everywhere():
     # closed forms hold for all parameters, not only the small-a-b strip
     for cell in [(0, 0, 1), (0, 1, 2), (1, 1, 3), (1, 2, 4), (2, 3, 6), (3, 3, 12)]:
         p = ScrollParams(*cell)
-        for r in range(1, 13):
-            t = tower_chern(p, r)
+        for t in iter_tower(p, 12):
+            r = t.rank
             assert (t.c1, t.c2, t.c3) == (_closed_c1(p, r), _closed_c2(p, r), _closed_c3(p, r))
 
 
@@ -74,23 +88,21 @@ def test_slope_constant_in_rank():
     for cell in HYP_GRID:
         p = ScrollParams(*cell)
         mu = 4 * (2 * p.c - p.b - p.a) - 2
-        for r in range(1, 13):
-            assert slope(p, tower_chern(p, r).c1, r) == mu
+        for t in iter_tower(p, 12):
+            assert slope(p, t.c1, t.rank) == mu
 
 
 def test_chi_vs_line_closed_forms():
     p = ScrollParams(0, 0, 1)
     n_dual, n = tower_pair(p)
-    pick = {1: n_dual, 2: n}
-    assert chi_tower_vs_line(p, 3, pick[epsilon(4)]) == -5
-    assert chi_tower_vs_line(p, 2, pick[epsilon(3)]) == -2
+    assert chi_tower_vs_line(p, 3, _pick(p, 4)) == -5
+    assert chi_tower_vs_line(p, 2, _pick(p, 3)) == -2
     assert chi_tower_vs_line(p, 1, n_dual) == 1
     for cell in HYP_GRID:
         q = ScrollParams(*cell)
-        nd, nn = tower_pair(q)
         for r in range(1, 13):
-            next_q = {1: nd, 2: nn}[epsilon(r + 1)]
-            last_q = {1: nd, 2: nn}[epsilon(r)]
+            next_q = _pick(q, r + 1)
+            last_q = _pick(q, r)
             assert chi_tower_vs_line(q, r, next_q) == (-r - 2 if r % 2 else -r)
             assert chi_tower_vs_line(q, r, last_q) == (-r + 2 if r % 2 else -r)
 
@@ -121,6 +133,7 @@ def test_h1_sequence():
         q = ScrollParams(*cell)
         seq = tower_h1_recursion(q, 12)
         assert seq == [r + 2 if r % 2 else r + 1 for r in range(1, 13)]
+        assert tower_h1_recursion(q, 1) == seq[:1]
     with pytest.raises(ValueError):
         tower_h1_recursion(ScrollParams(0, 2, 3), 4)
     with pytest.raises(ValueError):
@@ -144,10 +157,11 @@ def test_moduli_dims_and_gaps():
 def test_quotient_alternation():
     p = ScrollParams(1, 1, 3)
     f = named_line_bundles(p)
-    t = tower_chern(p, 6)
-    for i, q in enumerate(t.quotients):
+    quotients = _c1_steps(p, 6)
+    for i, q in enumerate(quotients):
         assert q == (f["N"] if i % 2 else f["N_dual"])
-    assert t.c1 == sum(t.quotients, DivisorClass(0, 0, 0))
+    # the chi sums read the quotients that the Whitney steps add
+    assert list(tower._quotients(p, 6)) == quotients
 
 
 def test_hypothesis_predicate():
@@ -155,3 +169,30 @@ def test_hypothesis_predicate():
     assert not in_tower_hypothesis(ScrollParams(1, 0, 2))
     assert not in_tower_hypothesis(ScrollParams(0, 2, 3))
 
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_whitney_step_per_rank(monkeypatch, capsys):
+    steps = _counted(monkeypatch, tower, "mul_div_c2")
+    assert main("tower-report --a 0 --b 1 --c 3 --rmax 50".split()) == 0
+    capsys.readouterr()
+    assert len(steps) == 50
+
+
+def test_chi_endo_reads_the_named_forms_once(monkeypatch):
+    p = ScrollParams(0, 1, 3)
+    reads = _counted(monkeypatch, tower, "named_line_bundles")
+    for r in (1, 2, 9):
+        reads.clear()
+        assert chi_endo_tower(p, r) == (-r * r + 2 if r % 2 else -r * r)
+        assert len(reads) == 1

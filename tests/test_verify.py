@@ -13,16 +13,9 @@ import pytest
 
 from scroll_ulrich import ScrollParams, classify_ulrich_line_bundles, enumerate_cases, verify
 from scroll_ulrich import cohomology, extensions, ulrich
-from scroll_ulrich.chow import (
-    ZERO_CODIM2,
-    ZERO_DIVISOR,
-    Codim2Class,
-    DivisorClass,
-    mul_div_c2,
-    mul_div_div,
-)
+from scroll_ulrich.chow import Codim2Class, DivisorClass, mul_div_c2, mul_div_div
 from scroll_ulrich.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
-from scroll_ulrich.tower import TowerBundle, tower_quotient
+from scroll_ulrich.tower import TowerBundle, _quotients
 from scroll_ulrich.ulrich import SWAP_TAG
 
 F = DivisorClass(0, 0, 1)  # the fibre class: adds one to z
@@ -35,8 +28,12 @@ FULL_GRID = [
 ]
 
 
+def _cell_checks(cell):
+    return verify.run_cell_checks(cell, verify.cohomology_failures(ScrollParams(*cell)))
+
+
 def _status(cell, name):
-    rows = [r for r in verify.run_cell_checks(cell) if r.check == name]
+    rows = [r for r in _cell_checks(cell) if r.check == name]
     assert len(rows) == 1
     return rows[0]
 
@@ -144,10 +141,10 @@ def test_each_triple_is_classified_once(monkeypatch):
         return classify_ulrich_line_bundles(params)
 
     _patch_everywhere(monkeypatch, classify_ulrich_line_bundles, counted)
-    verify.run_cell_checks((0, 0, 2))
+    _cell_checks((0, 0, 2))
     assert calls == [ScrollParams(0, 0, 2)]
     calls.clear()
-    verify.run_cell_checks((0, 1, 3))
+    _cell_checks((0, 1, 3))
     assert calls == [ScrollParams(0, 1, 3), ScrollParams(1, 0, 3)]
 
 
@@ -221,16 +218,15 @@ def test_closed_c2_off_by_one_is_caught(monkeypatch):
 
 
 def test_whitney_step_mutant_is_caught(monkeypatch):
-    def mutant(params, r):
-        quotients = tuple(tower_quotient(params, i) for i in range(1, r + 1))
-        c1, c2, c3 = ZERO_DIVISOR, ZERO_CODIM2, 0
-        for q in quotients:
+    def mutant(params, r_max):
+        c1, c2, c3 = DivisorClass(0, 0, 0), Codim2Class(0, 0, 0), 0
+        for r, q in enumerate(_quotients(params, r_max), start=1):
             c2 = c2 + mul_div_div(c1, q, params)
             c3 = c3 + mul_div_c2(q, c2, params)  # reads the new c2
             c1 = c1 + q
-        return TowerBundle(r, c1, c2, c3, quotients)
+            yield TowerBundle(r, c1, c2, c3)
 
-    monkeypatch.setattr(verify, "tower_chern", mutant)
+    monkeypatch.setattr(verify, "iter_tower", mutant)
     failed = _tower_failures()
     assert len(failed) == 18 and all("Chern classes at r=2" in r.detail for r in failed)
 
@@ -449,7 +445,7 @@ def test_cohomology_rows_report_their_own_first_failure(monkeypatch):
         verify, "serre_dual", lambda p, d: dual(p, d) + F if d.as_tuple() == (1, 1, 1) else dual(p, d)
     )
     col = verify._Collector(0, 1, 3)
-    verify._cohomology_checks(col, ScrollParams(0, 1, 3))
+    verify._cohomology_checks(col, verify.cohomology_failures(ScrollParams(0, 1, 3)))
     rows = {r.check: r for r in col.results}
     assert (rows["cohomology-chi-oracle"].ok, rows["cohomology-chi-oracle"].detail) == (
         False, "chi mismatch at (0, 0, 0)"
