@@ -281,7 +281,7 @@ def cmd_ext_table(args) -> tuple[Report, int]:
                 r.chi_endo, r.h2_endo, r.special,
                 _coeffs(r.c1_twisted), _coeffs(r.c2_twisted),
                 r.obstruction.from_base_a, r.obstruction.from_base_b,
-                r.pullback_obstructed,
+                r.obstruction.from_both,
             ]
             for r in recs
         ]

@@ -100,7 +100,6 @@ class Rank2ExtensionRecord(NamedTuple):
     c1_twisted: DivisorClass
     c2_twisted: Codim2Class
     obstruction: ObstructionReport
-    pullback_obstructed: bool  # cannot be a pullback from either base
 
 
 class ModuliPrediction(NamedTuple):
@@ -179,7 +178,6 @@ def build_extension_record(
         h2_endo = h2_endomorphisms_rank2(params, sub, quot)
     except VanishingHypothesisError:
         h2_endo = None
-    report = pullback_obstruction_report(c2_tw)
     return Rank2ExtensionRecord(
         sub=sub,
         quotient=quot,
@@ -194,8 +192,7 @@ def build_extension_record(
         special=is_special_rank2(params, c1),
         c1_twisted=c1_tw,
         c2_twisted=c2_tw,
-        obstruction=report,
-        pullback_obstructed=report.from_both,
+        obstruction=pullback_obstruction_report(c2_tw),
     )
 
 
@@ -251,31 +248,28 @@ def moduli_prediction(params: ScrollParams, case_id: int) -> ModuliPrediction:
     d1, d2 = _case_divisors(params, case_id)
     special = is_special_rank2(params, d1 + d2)
     rep = ORBIT_REPRESENTATIVE[case_id]
-    a, b, c = params.a, params.b, params.c
 
-    if rep == 1:
-        lo, hi = min(a, b), max(a, b)
-        if hi <= 1:
-            note = "general member slope-stable and special"
-            if lo == hi == 0:
-                note += "; component rational"
-            return ModuliPrediction(case_id, "exact", 5, True, special, note)
-        return ModuliPrediction(
-            case_id, "at_least_if_stable", 5, None, special, _CONDITIONAL_NOTE
-        )
-
-    if rep == 2:
-        # Case 2 needs the F_a structure with a = 0; case 7 is its swap image.
-        b_eff = b if case_id == 2 else a
-        dim = 4 * (2 * c - b_eff) - 3
-        return ModuliPrediction(
-            case_id,
-            "exact",
-            dim,
-            True,
-            special,
-            "component rational; general member slope-stable and special",
-        )
+    if rep in (1, 2):
+        # the expected dimension of a simple F (h^0 = 1, h^3 = 0 of End F):
+        # h^1 - h^2 = 1 - chi(End F)
+        dim = 1 - chi_endomorphisms_rank2(params, d1, d2)
+        if rep == 2:
+            return ModuliPrediction(
+                case_id,
+                "exact",
+                dim,
+                True,
+                special,
+                "component rational; general member slope-stable and special",
+            )
+        if max(params.a, params.b) > 1:
+            return ModuliPrediction(
+                case_id, "at_least_if_stable", dim, None, special, _CONDITIONAL_NOTE
+            )
+        note = "general member slope-stable and special"
+        if params.a == params.b == 0:
+            note += "; component rational"
+        return ModuliPrediction(case_id, "exact", dim, True, special, note)
 
     if rep == 9:
         return ModuliPrediction(

@@ -12,13 +12,18 @@ sweeps it once per (a, b) (`cohomology_failures`), and every cell and
 representative row of that family reads its first failures from that sweep
 while the cohomology cache still holds the family.
 
-The library computes and this module checks.  These live only here: the
-O(1) certificate that the classification scan misses no Ulrich bundle,
-both its x, y bound and its z-window (`ulrich-scan-bounds`, with the one
-copy of the L_j root), the involution transport of the extension records
-(`ext-involution-orbits`), and the closed forms of the extension tower
-with their certificate (`tower-closed-forms`, with the one copy of the
-h^1 closed form).
+The library computes and this module checks what it computed: the cell
+rows of the Ulrich dual and of the rank-two invariants read the records
+that `classify` and `ext-table` print (the dual of each classified bundle,
+the fields of the enumerate_cases records, by their two tags) and compare
+them with closed forms; a missing record fails its row.  These live only
+here: the O(1) certificate that the classification scan misses no Ulrich
+bundle, both its x, y bound and its z-window (`ulrich-scan-bounds`, with
+the one copy of the L_j root), the involution transport of the extension
+records (`ext-involution-orbits`), the closed forms of the rank-two
+invariants and of the moduli dimensions, and the closed forms of the
+extension tower with their certificate (`tower-closed-forms`, with the one
+copy of the h^1 closed form).
 """
 
 from __future__ import annotations
@@ -33,16 +38,9 @@ from .extensions import (
     CASE_OF_PAIR,
     ORBIT_REPRESENTATIVE,
     Rank2ExtensionRecord,
-    VanishingHypothesisError,
-    chi_endomorphisms_rank2,
     enumerate_cases,
-    ext1_dim,
-    extension_chern,
-    h2_endomorphisms_rank2,
     instanton_admissible,
     moduli_prediction,
-    pullback_obstruction_report,
-    twisted_chern,
 )
 from .tower import (
     chi_endo_tower,
@@ -69,6 +67,7 @@ from .ulrich import (
 
 Bundles = list[UlrichLineBundleRecord]
 Records = list[Rank2ExtensionRecord]
+ByTags = dict[tuple[str, str], Rank2ExtensionRecord]  # (sub_tag, quot_tag) -> its record
 Failures = list[tuple[str, DivisorClass]]  # (check, class) of the cohomology box
 
 REPRESENTATIVE_PARAMS = (
@@ -165,7 +164,7 @@ def _classification_checks(col: _Collector, params: ScrollParams, records: Bundl
 
     divisors = {r.divisor for r in records}
     for r in records:
-        dual = ulrich_dual(params, r.divisor)
+        dual = r.special_pairing
         col.check("ulrich-duality-closure", dual in divisors,
                   f"dual of {r.divisor.as_tuple()} missing")
         col.equal("ulrich-dual-involution",
@@ -182,9 +181,9 @@ def _classification_checks(col: _Collector, params: ScrollParams, records: Bundl
 
 
 def _chow_checks(col: _Collector, params: ScrollParams):
-    _, _, g = numerical_invariants(params)
+    _, d, g = numerical_invariants(params)
     h = params.h
-    col.equal("chow-degree", triple(h, h, h, params), 3 * (2 * params.c - params.a - params.b))
+    col.equal("chow-degree", triple(h, h, h, params), d)
     col.equal("chow-sectional-genus",
               triple(params.canonical + 2 * h, h, h, params), 2 * g - 2)
 
@@ -312,42 +311,41 @@ def _check_involution_orbits(
             yield f"c2 not transported by the base swap at {params}"
 
 
-def _ext_checks(col: _Collector, params: ScrollParams, records: Records, swapped_records: Records):
-    a, b, c = params.a, params.b, params.c
-    forms = named_line_bundles(params)
-    N, NU = forms["N"], forms["N_dual"]
-    e = lambda u, v: ext1_dim(params, u, v)
+def _read(rec: ByTags, sub_tag: str, quot_tag: str, field: str):
+    """`field` of the record (sub_tag, quot_tag), a class as a plain tuple; None if missing."""
+    r = rec.get((sub_tag, quot_tag))
+    value = None if r is None else getattr(r, field)
+    return tuple(value) if isinstance(value, tuple) else value
 
-    col.equal("ext-N-NU", e(N, NU), a + 2 if a > 0 else 3)
-    col.equal("ext-NU-N", e(NU, N), b + 2 if b > 0 else 3)
+
+def _ext_checks(col: _Collector, params: ScrollParams, rec: ByTags, swapped_records: Records):
+    a, b, c = params.a, params.b, params.c
+    e = lambda u, v: _read(rec, v, u, "ext_dim")  # ext^1(u, v): quotient u, sub v
+
+    col.equal("ext-N-NU", e("N", "N_dual"), a + 2 if a > 0 else 3)
+    col.equal("ext-NU-N", e("N_dual", "N"), b + 2 if b > 0 else 3)
     if a == 0:
-        L, LU = forms["L"], forms["L_dual"]
-        col.equal("ext-L-LU", e(L, LU), 3 * (2 * c - b - 1))
-        col.equal("ext-LU-L", e(LU, L), 2 * c - b + 1)
-        col.equal("ext-N-L", e(N, L), 0)
-        col.equal("ext-L-N", e(L, N), 2 * c - b - 2 if c > b + 1 else c - 1)
-        col.equal("ext-NU-L", e(NU, L), 2 * c - b + 2)
+        col.equal("ext-L-LU", e("L", "L_dual"), 3 * (2 * c - b - 1))
+        col.equal("ext-LU-L", e("L_dual", "L"), 2 * c - b + 1)
+        col.equal("ext-N-L", e("N", "L"), 0)
+        col.equal("ext-L-N", e("L", "N"), 2 * c - b - 2 if c > b + 1 else c - 1)
+        col.equal("ext-NU-L", e("N_dual", "L"), 2 * c - b + 2)
     if a == 0 and b == 0:
-        M, MU = forms["M"], forms["M_dual"]
-        col.equal("ext-L-M", e(forms["L"], M), 8 * c - 4)
-        col.equal("ext-L-MU", e(forms["L"], MU), 0)
+        col.equal("ext-L-M", e("L", "M"), 8 * c - 4)
+        col.equal("ext-L-MU", e("L", "M_dual"), 0)
 
     # the ordered-pair matrix transports along both involutions
-    col.first("ext-involution-orbits", _check_involution_orbits(params, records, swapped_records))
+    col.first("ext-involution-orbits",
+              _check_involution_orbits(params, list(rec.values()), swapped_records))
 
 
-def _chern_checks(col: _Collector, params: ScrollParams, records: Records):
+def _chern_checks(col: _Collector, params: ScrollParams, rec: ByTags):
     a, b, c = params.a, params.b, params.c
-    forms = named_line_bundles(params)
 
     def case(name, sub_tag, quot_tag, c1_want, c2_want, obstructed_a, obstructed_b):
-        sub, quot = forms[sub_tag], forms[quot_tag]
-        c1, c2 = extension_chern(params, sub, quot)
-        col.equal(f"chern-{name}-c1", c1.as_tuple(), c1_want)
-        col.equal(f"chern-{name}-c2", c2.as_tuple(), c2_want)
-        _, c2_tw = twisted_chern(params, c1, c2)
-        report = pullback_obstruction_report(c2_tw)
-        col.equal(f"obstruction-{name}", (report.from_base_a, report.from_base_b),
+        col.equal(f"chern-{name}-c1", _read(rec, sub_tag, quot_tag, "c1"), c1_want)
+        col.equal(f"chern-{name}-c2", _read(rec, sub_tag, quot_tag, "c2"), c2_want)
+        col.equal(f"obstruction-{name}", _read(rec, sub_tag, quot_tag, "obstruction"),
                   (obstructed_a, obstructed_b))
 
     case("case1", "N_dual", "N",
@@ -386,61 +384,54 @@ def _chern_checks(col: _Collector, params: ScrollParams, records: Records):
              True, True)
 
     # the twist by -h of the case-1 and case-2 bundles, in closed form
-    c1, c2 = extension_chern(params, forms["N_dual"], forms["N"])
-    c1_tw, c2_tw = twisted_chern(params, c1, c2)
-    col.equal("twist-case1-c1", c1_tw.as_tuple(), (0, 0, 2 * c - a - b - 2))
-    col.equal("twist-case1-c2", c2_tw.as_tuple(), (2, a, b))
+    col.equal("twist-case1-c1", _read(rec, "N_dual", "N", "c1_twisted"), (0, 0, 2 * c - a - b - 2))
+    col.equal("twist-case1-c2", _read(rec, "N_dual", "N", "c2_twisted"), (2, a, b))
     if a == 0:
-        c1, c2 = extension_chern(params, forms["L_dual"], forms["L"])
-        c1_tw, c2_tw = twisted_chern(params, c1, c2)
-        col.equal("twist-case2-c1", c1_tw.as_tuple(), (0, 0, 2 * c - b - 2))
-        col.equal("twist-case2-c2", c2_tw.as_tuple(), (0, 0, 2 * c - b))
+        col.equal("twist-case2-c1", _read(rec, "L_dual", "L", "c1_twisted"), (0, 0, 2 * c - b - 2))
+        col.equal("twist-case2-c2", _read(rec, "L_dual", "L", "c2_twisted"), (0, 0, 2 * c - b))
 
     # slope of every extension c1 equals d + g - 1 per rank
     _, d, g = numerical_invariants(params)
     mu = Fraction(d + g - 1)
     col.first("extension-slope",
-              (f"case {rec.case_id}" for rec in records if slope(params, rec.c1, 2) != mu))
+              (f"case {r.case_id}" for r in rec.values() if slope(params, r.c1, 2) != mu))
 
 
-def _endo_checks(col: _Collector, params: ScrollParams):
+def _endo_checks(col: _Collector, params: ScrollParams, rec: ByTags):
     a, b, c = params.a, params.b, params.c
-    forms = named_line_bundles(params)
-    N, NU = forms["N"], forms["N_dual"]
+    chi_end = lambda sub_tag, quot_tag: _read(rec, sub_tag, quot_tag, "chi_endo")
+    h2_end = lambda sub_tag, quot_tag: _read(rec, sub_tag, quot_tag, "h2_endo")
 
     alpha = b + 2 if b >= 1 else 3
     delta = b - 1 if b >= 2 else 0
     if a == 0:
-        col.equal("endo-case1-chi", chi_endomorphisms_rank2(params, NU, N), delta - alpha - 1)
-        col.equal("endo-case1-h2", h2_endomorphisms_rank2(params, NU, N), delta)
-        L, LU = forms["L"], forms["L_dual"]
-        col.equal("endo-case2-chi", chi_endomorphisms_rank2(params, LU, L), 4 - 4 * (2 * c - b))
-        col.equal("endo-case2-h2", h2_endomorphisms_rank2(params, LU, L), 0)
+        col.equal("endo-case1-chi", chi_end("N_dual", "N"), delta - alpha - 1)
+        col.equal("endo-case1-h2", h2_end("N_dual", "N"), delta)
+        col.equal("endo-case2-chi", chi_end("L_dual", "L"), 4 - 4 * (2 * c - b))
+        col.equal("endo-case2-h2", h2_end("L_dual", "L"), 0)
     else:
-        col.equal("endo-case1-chi", chi_endomorphisms_rank2(params, NU, N), -4)
+        col.equal("endo-case1-chi", chi_end("N_dual", "N"), -4)
         if a == 1:
-            col.equal("endo-case1-h2", h2_endomorphisms_rank2(params, NU, N), delta)
+            col.equal("endo-case1-h2", h2_end("N_dual", "N"), delta)
         else:
-            try:
-                h2_endomorphisms_rank2(params, NU, N)
-                col.check("endo-case1-h2-guard", False, "expected hypothesis failure")
-            except VanishingHypothesisError:
-                col.check("endo-case1-h2-guard", True)
+            # a refused h^2 is stored as None; a missing record is no refusal
+            refused = ("N_dual", "N") in rec and h2_end("N_dual", "N") is None
+            col.check("endo-case1-h2-guard", refused,
+                      "" if refused else "expected hypothesis failure")
 
     # chi(End) of every dual pair is non-positive (positive-dim deformations)
-    pairs = [(NU, N)]
+    pairs = [("N_dual", "N")]
     if a == 0:
-        pairs.append((forms["L_dual"], forms["L"]))
+        pairs.append(("L_dual", "L"))
     if b == 0:
-        pairs.append((forms["M_dual"], forms["M"]))
-    col.check(
-        "endo-dual-pairs-nonpositive",
-        all(chi_endomorphisms_rank2(params, s, q) <= 0 for s, q in pairs),
-    )
+        pairs.append(("M_dual", "M"))
+    chis = [chi_end(*pair) for pair in pairs]
+    col.check("endo-dual-pairs-nonpositive", all(x is not None and x <= 0 for x in chis))
 
 
-def _moduli_checks(col: _Collector, params: ScrollParams):
+def _moduli_checks(col: _Collector, params: ScrollParams, rec: ByTags):
     a, b, c = params.a, params.b, params.c
+    special = lambda sub_tag, quot_tag: _read(rec, sub_tag, quot_tag, "special")
     p1 = moduli_prediction(params, 1)
     if max(a, b) <= 1:
         col.equal("moduli-case1", (p1.dimension_kind, p1.dimension, p1.generically_smooth),
@@ -448,18 +439,20 @@ def _moduli_checks(col: _Collector, params: ScrollParams):
     else:
         col.equal("moduli-case1", (p1.dimension_kind, p1.dimension, p1.generically_smooth),
                   ("at_least_if_stable", 5, None))
-    col.check("moduli-case1-special", p1.special)
+    col.equal("moduli-case1-special", (p1.special, special("N_dual", "N")), (True, True))
     if a == 0:
         p2 = moduli_prediction(params, 2)
         col.equal("moduli-case2", (p2.dimension_kind, p2.dimension, p2.generically_smooth),
                   ("exact", 4 * (2 * c - b) - 3, True))
-        col.check("moduli-case2-special", p2.special)
-        for k in (3, 4):
+        col.equal("moduli-case2-special", (p2.special, special("L_dual", "L")), (True, True))
+        for k, pair in ((3, ("N", "L")), (4, ("L", "N_dual"))):
             pk = moduli_prediction(params, k)
-            col.equal(f"moduli-case{k}", (pk.dimension_kind, pk.special), ("point", False))
+            col.equal(f"moduli-case{k}", (pk.dimension_kind, pk.special, special(*pair)),
+                      ("point", False, False))
     if a == 0 and b == 0:
         p8 = moduli_prediction(params, 8)
-        col.equal("moduli-case8", (p8.dimension_kind, p8.special), ("point", False))
+        col.equal("moduli-case8", (p8.dimension_kind, p8.special, special("M", "L")),
+                  ("point", False, False))
 
 
 def run_cell_checks(cell: tuple[int, int, int], cohomology: Failures) -> list[CheckResult]:
@@ -476,10 +469,11 @@ def run_cell_checks(cell: tuple[int, int, int], cohomology: Failures) -> list[Ch
     records = enumerate_cases(params, bundles)
     sw = params.swapped()
     swapped_records = records if a == b else enumerate_cases(sw, classify_ulrich_line_bundles(sw))
-    _ext_checks(col, params, records, swapped_records)
-    _chern_checks(col, params, records)
-    _endo_checks(col, params)
-    _moduli_checks(col, params)
+    rec = {(r.sub_tag, r.quot_tag): r for r in records}
+    _ext_checks(col, params, rec, swapped_records)
+    _chern_checks(col, params, rec)
+    _endo_checks(col, params, rec)
+    _moduli_checks(col, params, rec)
     return col.results
 
 

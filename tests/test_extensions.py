@@ -241,11 +241,11 @@ def test_case_speciality():
 def test_obstruction_verdicts():
     p = ScrollParams(0, 0, 2)
     recs = {r.case_id: r for r in enumerate_cases(p, classify_ulrich_line_bundles(p))}
-    assert recs[1].pullback_obstructed
+    assert recs[1].obstruction.from_both
     assert not recs[2].obstruction.from_base_a and recs[2].obstruction.from_base_b
     assert not recs[7].obstruction.from_base_b and recs[7].obstruction.from_base_a
     for k in (3, 4, 5, 6, 8, 9):
-        assert recs[k].pullback_obstructed
+        assert recs[k].obstruction.from_both
 
 
 def test_moduli_predictions():

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from scroll_ulrich import ScrollParams, classify_ulrich_line_bundles, enumerate_cases, verify
-from scroll_ulrich import cohomology, extensions, ulrich
+from scroll_ulrich import chow, cohomology, extensions, ulrich
 from scroll_ulrich.chow import Codim2Class, DivisorClass, mul_div_c2, mul_div_div
 from scroll_ulrich.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
 from scroll_ulrich.tower import TowerBundle, _quotients
@@ -419,12 +419,14 @@ def test_structural_cohomology_mutant_is_caught(
 
 
 def test_ulrich_dual_plus_f_fails_rows_not_the_run(monkeypatch, capsys):
-    original = verify.ulrich_dual
-    monkeypatch.setattr(
-        verify, "ulrich_dual",
+    # the classifier's dual column and verify's transport checks read the same mutant
+    original = ulrich.ulrich_dual
+    _patch_everywhere(
+        monkeypatch, original,
         lambda p, d: original(p, d) + F if p == ScrollParams(0, 1, 3) else original(p, d),
     )
-    assert {"ext-involution-orbits", "ulrich-duality-closure"} <= _cli_failures((0, 1, 3), capsys)
+    failures = _cli_failures((0, 1, 3), capsys)
+    assert {"ext-involution-orbits", "ulrich-duality-closure", "ulrich-dual-tag"} <= failures
 
 
 def test_bundle_dropped_at_swapped_triple_fails_rows_not_the_run(monkeypatch, capsys):
@@ -434,6 +436,23 @@ def test_bundle_dropped_at_swapped_triple_fails_rows_not_the_run(monkeypatch, ca
         lambda p: original(p)[:-1] if p.a > p.b else original(p),
     )
     assert "ext-involution-orbits" in _cli_failures((0, 1, 3), capsys)
+
+
+def test_missing_record_fails_its_rows_not_the_run(monkeypatch, capsys):
+    # at a >= 2 the h^2 of case 1 is refused (None); a missing record must not read as that
+    original = verify.enumerate_cases
+
+    def dropped(params, bundles):
+        records = original(params, bundles)
+        if params != ScrollParams(2, 3, 6):
+            return records
+        return [r for r in records if (r.sub_tag, r.quot_tag) != ("N_dual", "N")]
+
+    monkeypatch.setattr(verify, "enumerate_cases", dropped)
+    assert {
+        "ext-N-NU", "chern-case1-c1", "obstruction-case1", "twist-case1-c2", "endo-case1-chi",
+        "endo-case1-h2-guard", "endo-dual-pairs-nonpositive", "moduli-case1-special",
+    } <= _cli_failures((2, 3, 6), capsys)
 
 
 def test_cohomology_rows_report_their_own_first_failure(monkeypatch):
@@ -454,3 +473,59 @@ def test_cohomology_rows_report_their_own_first_failure(monkeypatch):
         False, "serre mismatch at (1, 1, 1)"
     )
     assert rows["cohomology-vanishing-strip"].ok and rows["cohomology-degree-bounds"].ok
+
+
+# One-line slips in the records that `classify` and `ext-table` print: one field of a
+# Rank2ExtensionRecord, or the dual of an UlrichLineBundleRecord, each with the rows of
+# (0, 1, 3) that must fail.
+_MISWIRED_FIELDS = {
+    "ext-dim-reversed": ("ext_dim", lambda p, r: extensions.ext1_dim(p, r.sub, r.quotient),
+                         {"ext-L-LU", "ext-LU-L"}),
+    "chi-endo-plus-one": ("chi_endo", lambda p, r: r.chi_endo + 1,
+                          {"endo-case1-chi", "endo-case2-chi"}),
+    "c2-twisted-untwisted": ("c2_twisted", lambda p, r: r.c2,
+                             {"twist-case1-c2", "twist-case2-c2"}),
+    "obstruction-untwisted": ("obstruction", lambda p, r: ulrich.pullback_obstruction_report(r.c2),
+                              {"obstruction-case2", "obstruction-case3"}),
+    "h2-endo-plus-one": ("h2_endo", lambda p, r: None if r.h2_endo is None else r.h2_endo + 1,
+                         {"endo-case1-h2", "endo-case2-h2"}),
+    "special-negated": ("special", lambda p, r: not r.special,
+                        {"moduli-case1-special", "moduli-case2-special", "moduli-case3"}),
+    "dual-is-itself": ("special_pairing", lambda p, r: r.divisor,
+                       {"ulrich-dual-involution", "ulrich-dual-tag"}),
+}
+
+
+@pytest.mark.parametrize("field, value, rows", _MISWIRED_FIELDS.values(), ids=_MISWIRED_FIELDS)
+def test_miswired_record_field_is_caught(monkeypatch, capsys, field, value, rows):
+    if field == "special_pairing":
+        original = ulrich.classify_ulrich_line_bundles
+
+        def miswired(params):
+            return [r._replace(special_pairing=value(params, r)) for r in original(params)]
+    else:
+        original = extensions.build_extension_record
+
+        def miswired(params, *args):
+            r = original(params, *args)
+            return r._replace(**{field: value(params, r)})
+
+    _patch_everywhere(monkeypatch, original, miswired)
+    assert rows <= _cli_failures((0, 1, 3), capsys)
+
+
+def test_chi_endo_plus_one_fails_the_moduli_dimensions(monkeypatch, capsys):
+    original = extensions.chi_endomorphisms_rank2
+    _patch_everywhere(monkeypatch, original, lambda p, s, q: original(p, s, q) + 1)
+    assert {"moduli-case1", "moduli-case2"} <= _cli_failures((0, 1, 3), capsys)
+
+
+def test_degree_plus_one_is_caught(monkeypatch, capsys):
+    original = chow.numerical_invariants
+
+    def mutant(params):
+        n, d, g = original(params)
+        return n, d + 1, g
+
+    _patch_everywhere(monkeypatch, original, mutant)
+    assert "chow-degree" in _cli_failures((0, 1, 3), capsys)
