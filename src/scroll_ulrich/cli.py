@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -29,7 +28,6 @@ from .tower import (
     tower_h1_recursion,
 )
 from .ulrich import DUAL_TAG, classify_ulrich_line_bundles, slope
-from . import verify as verify_mod
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -89,6 +87,8 @@ def render_markdown(report: Report) -> str:
 
 
 def render_csv(report: Report) -> str:
+    import csv  # only --format csv needs it; every CLI call pays for what cli imports
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for t in report.tables:
@@ -358,6 +358,10 @@ def cmd_instanton(args) -> tuple[Report, int]:
 
 
 def cmd_verify(args) -> tuple[Report, int]:
+    # imported here: no other command runs the verifier, and every CLI call
+    # is a fresh interpreter that would otherwise compile it
+    from . import verify as verify_mod
+
     # one family after another, as the cohomology cache keeps them; results
     # are sorted again below
     cells = sorted(
@@ -453,11 +457,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> None:
+    """Write and flush `text`, so that a report that cannot be written fails here.
+
+    A failed write closes stdout: what a failed flush leaves in the buffer
+    would otherwise fail again at interpreter exit, and turn the exit code
+    into 120.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        try:
+            sys.stdout.close()  # closes the file even where its flush fails
+        except OSError:
+            pass
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         report, code = args.func(args)
+        _write_stdout(RENDERERS[args.format](report))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -465,7 +488,6 @@ def main(argv=None) -> int:
         # a defect, not a failed check: keep it apart from exit 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    sys.stdout.write(RENDERERS[args.format](report))
     if code != EXIT_OK:
         print(f"verification failed: {report.meta.get('failed')} checks", file=sys.stderr)
     return code

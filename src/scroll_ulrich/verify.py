@@ -418,6 +418,9 @@ def _endo_checks(col: _Collector, params: ScrollParams, rec: ByTags):
             refused = ("N_dual", "N") in rec and h2_end("N_dual", "N") is None
             col.check("endo-case1-h2-guard", refused,
                       "" if refused else "expected hypothesis failure")
+    if b == 0:  # case 7, the base-swap image of case 2
+        col.equal("endo-case7-chi", chi_end("M", "M_dual"), 4 - 4 * (2 * c - a))
+        col.equal("endo-case7-h2", h2_end("M", "M_dual"), 0)
 
     # chi(End) of every dual pair is non-positive (positive-dim deformations)
     pairs = [("N_dual", "N")]
@@ -449,6 +452,11 @@ def _moduli_checks(col: _Collector, params: ScrollParams, rec: ByTags):
             pk = moduli_prediction(params, k)
             col.equal(f"moduli-case{k}", (pk.dimension_kind, pk.special, special(*pair)),
                       ("point", False, False))
+    if b == 0:  # case 7, the base-swap image of case 2
+        p7 = moduli_prediction(params, 7)
+        col.equal("moduli-case7", (p7.dimension_kind, p7.dimension, p7.generically_smooth),
+                  ("exact", 4 * (2 * c - a) - 3, True))
+        col.equal("moduli-case7-special", (p7.special, special("M", "M_dual")), (True, True))
     if a == 0 and b == 0:
         p8 = moduli_prediction(params, 8)
         col.equal("moduli-case8", (p8.dimension_kind, p8.special, special("M", "L")),

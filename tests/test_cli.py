@@ -218,21 +218,50 @@ def test_grid_commands_work_one_family_at_a_time(capsys, monkeypatch, argv):
     assert sorted(runs) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 
 
+def _fresh_python(args, stdout=subprocess.PIPE, **env):
+    """Run `python args` in a new interpreter that imports this checkout's package."""
+    path = [str(Path(scroll_ulrich.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **env}
+    return subprocess.run(
+        [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True
+    )
+
+
 def test_cli_import_loads_no_process_pool_or_dataclasses():
     # every CLI call pays for what `import scroll_ulrich.cli` loads; a process
-    # pool would pull in the `concurrent` and `multiprocessing` packages, and
-    # `dataclasses` pulls in `inspect` (with `ast`, `dis` and `tokenize`)
+    # pool would pull in the `concurrent` and `multiprocessing` packages,
+    # `dataclasses` pulls in `inspect` (with `ast`, `dis` and `tokenize`), and
+    # only `verify` runs the verifier and only `--format csv` needs `csv`
     code = (
         "import sys, scroll_ulrich.cli; "
-        "print([m for m in ('concurrent', 'multiprocessing', 'dataclasses', 'inspect') "
-        "if m in sys.modules])"
+        "print([m for m in ('concurrent', 'multiprocessing', 'dataclasses', 'inspect', "
+        "'scroll_ulrich.verify', 'csv') if m in sys.modules])"
     )
-    path = [str(Path(scroll_ulrich.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    out = _fresh_python(["-c", code])
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--a", "0", "--b", "0", "--c", "1"],
+    ["classify", "--a", "1", "--b", "2", "--c", "4", "--format", "csv"],
+])
+def test_lazily_imported_commands_run_in_a_fresh_process(argv):
+    # in this process the test modules have imported verify and csv already
+    out = _fresh_python(["-m", "scroll_ulrich.cli", *argv])
+    assert out.returncode == EXIT_OK, out.stderr
+    assert out.stdout and not out.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_report_that_cannot_be_written_is_internal_error(unbuffered):
+    argv = ["-m", "scroll_ulrich.cli", "cohom", "--params", "1,1,3", "--div", "1,1,1"]
+    # buffered, the write succeeds and the flush fails; unbuffered, the write fails
+    with open("/dev/full", "w") as full:
+        out = _fresh_python(argv, stdout=full, PYTHONUNBUFFERED=unbuffered)
+    assert out.returncode == EXIT_INTERNAL
+    assert out.stderr.startswith("internal error: OSError") and out.stderr.count("\n") == 1
 
 
 def test_empty_grid_is_usage_error(capsys):

@@ -520,6 +520,20 @@ def test_chi_endo_plus_one_fails_the_moduli_dimensions(monkeypatch, capsys):
     assert {"moduli-case1", "moduli-case2"} <= _cli_failures((0, 1, 3), capsys)
 
 
+@pytest.mark.parametrize("cell", [(0, 0, 2), (1, 0, 3)])
+def test_case7_chi_endo_minus_one_is_caught(monkeypatch, capsys, cell):
+    # chi(End F) lowered for the M pair alone: case 7, at b = 0
+    original = extensions.chi_endomorphisms_rank2
+    named = ulrich.named_line_bundles
+
+    def mutant(p, s, q):
+        forms = named(p)
+        return original(p, s, q) - ({s, q} == {forms.get("M"), forms.get("M_dual")})
+
+    _patch_everywhere(monkeypatch, original, mutant)
+    assert {"endo-case7-chi", "moduli-case7"} <= _cli_failures(cell, capsys)
+
+
 def test_degree_plus_one_is_caught(monkeypatch, capsys):
     original = chow.numerical_invariants
 
