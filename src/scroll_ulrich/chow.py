@@ -95,6 +95,10 @@ class DivisorClass(NamedTuple):
     def as_tuple(self) -> tuple[int, int, int]:
         return tuple(self)
 
+    def swapped(self) -> "DivisorClass":
+        """The same class in the basis of the F_b scroll structure: xi <-> C0, F fixed."""
+        return DivisorClass(self.y, self.x, self.z)
+
 
 class Codim2Class(NamedTuple):
     """p*xi.C0 + q*xi.F + r*C0.F with integer coefficients."""

@@ -13,7 +13,7 @@ import argparse
 import io
 import json
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .chow import DivisorClass, ScrollParams, mul_div_c2, mul_div_div, numerical_invariants
@@ -158,25 +158,6 @@ def _cells(args) -> Iterator[tuple[int, int, int, ScrollParams | None, bool]]:
                 yield aa, bb, c, params, normalized
 
 
-def _family(cell: tuple) -> tuple[int, int]:
-    """The (a, b) family of a cell; (b, a) is the same threefolds over F_b."""
-    a, b = cell[:2]
-    return min(a, b), max(a, b)
-
-
-def _by_family(cells: list, work: Callable) -> list:
-    """[work(cell) for cell in cells], worked one family at a time.
-
-    The cohomology cache keeps one family, and grid order (a outermost)
-    returns to a family after others; so the cells are worked in family
-    order, grid order within each, and the results come back in grid order.
-    """
-    out = [None] * len(cells)
-    for i in sorted(range(len(cells)), key=lambda i: _family(cells[i])):
-        out[i] = work(cells[i])
-    return out
-
-
 def _coeffs(t: tuple[int, ...]) -> str:
     """A class or coefficient tuple as 'x,y,z'."""
     return ",".join(map(str, t))
@@ -189,13 +170,12 @@ def cmd_classify(args) -> tuple[Report, int]:
         [],
     )
     cells = list(_cells(args))
-
-    def rows(cell):
-        a, b, c, params, normalized = cell
+    for a, b, c, params, normalized in cells:
         if params is None:
-            return [[a, b, c, "skipped", "", "", "", "", "", ""]]
+            table.rows.append([a, b, c, "skipped", "", "", "", "", "", ""])
+            continue
         status = "normalized" if normalized else "ok"
-        return [
+        table.rows.extend(
             [
                 a, b, c, status,
                 rec.tag,
@@ -206,10 +186,7 @@ def cmd_classify(args) -> tuple[Report, int]:
                 str(slope(params, rec.divisor, 1)),
             ]
             for rec in classify_ulrich_line_bundles(params)
-        ]
-
-    for cell_rows in _by_family(cells, rows):
-        table.rows.extend(cell_rows)
+        )
     skipped = sum(params is None for _, _, _, params, _ in cells)
     meta = {"bundles": len(table.rows) - skipped, "cells": len(cells), "skipped_cells": skipped}
     return Report("classify", meta, [table]), EXIT_OK
@@ -267,13 +244,11 @@ def cmd_ext_table(args) -> tuple[Report, int]:
         [],
     )
     cells = list(_cells(args))
-
-    def rows(cell):
-        a, b, c, params, _ = cell
+    for a, b, c, params, _ in cells:
         if params is None:
-            return [], []
+            continue
         recs = enumerate_cases(params, classify_ulrich_line_bundles(params))
-        record_rows = [
+        records.rows.extend(
             [
                 a, b, c, r.case_id, r.sub_tag, r.quot_tag,
                 _coeffs(r.sub), _coeffs(r.quotient), r.ext_dim,
@@ -284,21 +259,15 @@ def cmd_ext_table(args) -> tuple[Report, int]:
                 r.obstruction.from_both,
             ]
             for r in recs
-        ]
-        prediction_rows = []
+        )
         for case_id in sorted({r.case_id for r in recs}):
             p = moduli_prediction(params, case_id)
-            prediction_rows.append(
+            predictions.rows.append(
                 [
                     a, b, c, case_id, p.dimension_kind, p.dimension,
                     p.generically_smooth, p.special, p.branch_note,
                 ]
             )
-        return record_rows, prediction_rows
-
-    for record_rows, prediction_rows in _by_family(cells, rows):
-        records.rows.extend(record_rows)
-        predictions.rows.extend(prediction_rows)
     skipped = sum(params is None for _, _, _, params, _ in cells)
     meta = {"records": len(records.rows), "skipped_cells": skipped}
     return Report("ext-table", meta, [records, predictions]), EXIT_OK
@@ -362,26 +331,10 @@ def cmd_verify(args) -> tuple[Report, int]:
     # is a fresh interpreter that would otherwise compile it
     from . import verify as verify_mod
 
-    # one family after another, as the cohomology cache keeps them; results
-    # are sorted again below
-    cells = sorted(
-        {(a, b, c) for a, b, c, params, _ in _cells(args) if params is not None},
-        key=lambda cell: (_family(cell), cell),
-    )
+    cells = {(a, b, c) for a, b, c, params, _ in _cells(args) if params is not None}
     if not cells:
         raise ConfigError("no valid cells in the grid")
-
-    results = []
-    swept = {}  # one cohomology sweep per (a, b), which every c of it reads
-    for cell in cells:
-        if cell[:2] not in swept:
-            swept[cell[:2]] = verify_mod.cohomology_failures(ScrollParams(*cell))
-        results.extend(verify_mod.run_cell_checks(cell, swept[cell[:2]]))
-    results.extend(verify_mod.run_cohomology_box_checks(swept))
-    results.extend(verify_mod.run_tower_checks())
-    results.extend(verify_mod.run_instanton_checks())
-
-    results.sort(key=lambda r: (r.a, r.b, r.c, r.check))
+    results = verify_mod.run_grid(cells)
     failed = [r for r in results if not r.ok]
 
     # one ledger row per replayed claim, aggregated over the grid

@@ -30,12 +30,10 @@ normalisation, independent of y and z.
 Only the scroll layer is memoized, on (a, b, x, y, z), and only for one
 family at a time: the pair (a, b) of the latest miss together with its base
 swap (b, a), which describes the same threefolds as a P^1-bundle over F_b.
-A miss from any other pair first empties the cache and the intern table
-below, so memory is bounded by the largest family a run touches, not by the
-number of families.  The swap stays because the swap checks and the swapped
-classification of a cell query (b, a) between the (a, b) calls of that cell.
-The CLI's grid commands work their cells one family at a time for the same
-reason, and hand the rows back in grid order.
+A miss from any other pair first empties the cache, so memory is bounded
+by the largest family a run touches, not by the number of families.  The
+swap stays because the swap checks and the swapped classification of a cell
+query (b, a) between the (a, b) calls of that cell.
 The family test runs inside the cached function, that is on misses only, so
 the hit path that the classification scans and the tower report take, a few
 small classes re-queried many times, costs nothing extra.  Correctness does
@@ -44,10 +42,7 @@ The strips x = -1 and y = -1 stay out of the cache: each is a relative O(-1)
 for one of the two scroll structures (X is also a P^1-bundle over F_b, with
 x and y swapped), so all its cohomology vanishes and h_scroll answers
 ZERO_COHOMOLOGY before the lookup.  Serre duality maps x <= -2 to x >= 0 and
-keeps y off -1, so the recursion never reaches a strip either.  Each miss
-interns its vector in a module table seeded with ZERO_COHOMOLOGY, so the
-cache holds one shared, immutable CohomologyVector per distinct value, and
-h_scroll hands that same object to every caller.
+keeps y off -1, so the recursion never reaches a strip either.
 """
 
 from __future__ import annotations
@@ -124,8 +119,6 @@ def h_hirzebruch(a: int, alpha: int, beta: int) -> CohomologyVector:
     return CohomologyVector(h0, h1, h2, 0)
 
 
-# One shared instance per distinct value the cache holds.
-_VECTORS = {ZERO_COHOMOLOGY: ZERO_COHOMOLOGY}
 # The (a, b) whose family the cache holds.
 _family = None
 
@@ -136,8 +129,6 @@ def _h_scroll(a: int, b: int, x: int, y: int, z: int) -> CohomologyVector:
     global _family
     if _family != (a, b) and _family != (b, a):
         _h_scroll.cache_clear()
-        _VECTORS.clear()
-        _VECTORS[ZERO_COHOMOLOGY] = ZERO_COHOMOLOGY
         _family = (a, b)
     if x >= 0:
         h0 = h1 = h2 = 0
@@ -146,11 +137,9 @@ def _h_scroll(a: int, b: int, x: int, y: int, z: int) -> CohomologyVector:
             h0 += s0
             h1 += s1
             h2 += s2
-        vec = CohomologyVector(h0, h1, h2, 0)
-    else:
-        # Serre duality with K_X = (-2, -2, -(a+b+2)); x <= -2, so the dual has x >= 0
-        vec = _h_scroll(a, b, -2 - x, -2 - y, -(a + b + 2) - z).reversed()
-    return _VECTORS.setdefault(vec, vec)
+        return CohomologyVector(h0, h1, h2, 0)
+    # Serre duality with K_X = (-2, -2, -(a+b+2)); x <= -2, so the dual has x >= 0
+    return _h_scroll(a, b, -2 - x, -2 - y, -(a + b + 2) - z).reversed()
 
 
 def h_scroll(params: ScrollParams, div: DivisorClass) -> CohomologyVector:

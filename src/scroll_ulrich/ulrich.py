@@ -79,7 +79,7 @@ def ulrich_dual(params: ScrollParams, div: DivisorClass) -> DivisorClass:
 
 def base_swap(params: ScrollParams, div: DivisorClass) -> tuple[ScrollParams, DivisorClass]:
     """The same bundle in the F_b scroll structure: ((b, a, c), (y, x, z))."""
-    return params.swapped(), DivisorClass(div.y, div.x, div.z)
+    return params.swapped(), div.swapped()
 
 
 def named_line_bundles(params: ScrollParams) -> dict[str, DivisorClass]:

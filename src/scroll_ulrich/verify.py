@@ -7,10 +7,10 @@ messages, which `_Collector.first` turns into one row that fails with the
 first message, so a defect fails a row and never stops the run.  Cell
 checks run per parameter triple, one cell after another in one process; the
 fixed-grid checks (cohomology box at representative parameters, tower,
-instanton) run once.  The cohomology box reads (a, b) and not c, so the CLI
-sweeps it once per (a, b) (`cohomology_failures`), and every cell and
-representative row of that family reads its first failures from that sweep
-while the cohomology cache still holds the family.
+instanton) run once.  The cohomology box reads (a, b) and not c, so
+`run_grid` sweeps it once per (a, b) (`cohomology_failures`), and every
+cell and representative row of that family reads its first failures from
+that sweep while the cohomology cache still holds the family.
 
 The library computes and this module checks what it computed: the cell
 rows of the Ulrich dual and of the rank-two invariants read the records
@@ -98,7 +98,8 @@ class _Collector:
         self.results: list[CheckResult] = []
 
     def check(self, name: str, ok: bool, detail: str = ""):
-        self.results.append(CheckResult(*self.cell, name, bool(ok), detail))
+        """One row; `detail` says what failed, so a passing row keeps none."""
+        self.results.append(CheckResult(*self.cell, name, bool(ok), "" if ok else detail))
 
     def equal(self, name: str, got, want):
         self.check(name, got == want, f"got {got}, want {want}" if got != want else "")
@@ -149,7 +150,10 @@ def verify_scan_bounds(params: ScrollParams) -> bool:
     )
 
 
-def _classification_checks(col: _Collector, params: ScrollParams, records: Bundles):
+def _classification_checks(
+    col: _Collector, params: ScrollParams, records: Bundles, swapped_records: Bundles
+):
+    """`records`, `swapped_records`: the classification of params and of params.swapped()."""
     _, d, g = numerical_invariants(params)
     col.equal("ulrich-count", len(records), expected_count(params))
     col.check("ulrich-no-unnamed", all(r.tag != "other" for r in records),
@@ -163,6 +167,7 @@ def _classification_checks(col: _Collector, params: ScrollParams, records: Bundl
     )
 
     divisors = {r.divisor for r in records}
+    swapped_divisors = {r.divisor for r in swapped_records}
     for r in records:
         dual = r.special_pairing
         col.check("ulrich-duality-closure", dual in divisors,
@@ -173,7 +178,7 @@ def _classification_checks(col: _Collector, params: ScrollParams, records: Bundl
         col.equal("ulrich-h0-degree", h_scroll(params, r.divisor).h0, d)
         col.equal("ulrich-slope", slope(params, r.divisor, 1), Fraction(d + g - 1))
         sw_params, sw_div = base_swap(params, r.divisor)
-        col.check("ulrich-swap-invariance", is_ulrich_line(sw_params, sw_div),
+        col.check("ulrich-swap-invariance", sw_div in swapped_divisors,
                   f"{r.divisor.as_tuple()} not Ulrich after swap")
         col.equal("ulrich-swap-involution",
                   base_swap(sw_params, sw_div), (params, r.divisor))
@@ -294,8 +299,7 @@ def _check_involution_orbits(
     # Base swap: compare against the records of the swapped scroll structure.
     swapped_by_pair = {(r.sub, r.quotient): r for r in swapped_records}
     for r in records:
-        key = ((r.sub.y, r.sub.x, r.sub.z), (r.quotient.y, r.quotient.x, r.quotient.z))
-        image = swapped_by_pair.get(key)
+        image = swapped_by_pair.get((r.sub.swapped(), r.quotient.swapped()))
         if image is None:
             yield f"swap image of case {r.case_id} missing at {params}"
             continue
@@ -305,7 +309,7 @@ def _check_involution_orbits(
             yield f"swap tags wrong for case {r.case_id} at {params}"
         if image.ext_dim != r.ext_dim:
             yield f"ext^1 not preserved by the base swap at {params}"
-        if image.c1 != (r.c1.y, r.c1.x, r.c1.z):
+        if image.c1 != r.c1.swapped():
             yield f"c1 not transported by the base swap at {params}"
         if image.c2 != r.c2.swapped():
             yield f"c2 not transported by the base swap at {params}"
@@ -416,8 +420,7 @@ def _endo_checks(col: _Collector, params: ScrollParams, rec: ByTags):
         else:
             # a refused h^2 is stored as None; a missing record is no refusal
             refused = ("N_dual", "N") in rec and h2_end("N_dual", "N") is None
-            col.check("endo-case1-h2-guard", refused,
-                      "" if refused else "expected hypothesis failure")
+            col.check("endo-case1-h2-guard", refused, "expected hypothesis failure")
     if b == 0:  # case 7, the base-swap image of case 2
         col.equal("endo-case7-chi", chi_end("M", "M_dual"), 4 - 4 * (2 * c - a))
         col.equal("endo-case7-h2", h2_end("M", "M_dual"), 0)
@@ -436,6 +439,7 @@ def _moduli_checks(col: _Collector, params: ScrollParams, rec: ByTags):
     a, b, c = params.a, params.b, params.c
     special = lambda sub_tag, quot_tag: _read(rec, sub_tag, quot_tag, "special")
     p1 = moduli_prediction(params, 1)
+    smooth = [(1, p1, ("N_dual", "N"))]  # (case, prediction, the pair _endo_checks reads)
     if max(a, b) <= 1:
         col.equal("moduli-case1", (p1.dimension_kind, p1.dimension, p1.generically_smooth),
                   ("exact", 5, True))
@@ -448,6 +452,7 @@ def _moduli_checks(col: _Collector, params: ScrollParams, rec: ByTags):
         col.equal("moduli-case2", (p2.dimension_kind, p2.dimension, p2.generically_smooth),
                   ("exact", 4 * (2 * c - b) - 3, True))
         col.equal("moduli-case2-special", (p2.special, special("L_dual", "L")), (True, True))
+        smooth.append((2, p2, ("L_dual", "L")))
         for k, pair in ((3, ("N", "L")), (4, ("L", "N_dual"))):
             pk = moduli_prediction(params, k)
             col.equal(f"moduli-case{k}", (pk.dimension_kind, pk.special, special(*pair)),
@@ -457,10 +462,20 @@ def _moduli_checks(col: _Collector, params: ScrollParams, rec: ByTags):
         col.equal("moduli-case7", (p7.dimension_kind, p7.dimension, p7.generically_smooth),
                   ("exact", 4 * (2 * c - a) - 3, True))
         col.equal("moduli-case7-special", (p7.special, special("M", "M_dual")), (True, True))
+        smooth.append((7, p7, ("M", "M_dual")))
     if a == 0 and b == 0:
         p8 = moduli_prediction(params, 8)
         col.equal("moduli-case8", (p8.dimension_kind, p8.special, special("M", "L")),
                   ("point", False, False))
+
+    def smooth_vs_h2() -> Iterator[str]:
+        # generically smooth exactly where the computed h^2(End F) vanishes
+        for k, p, pair in smooth:
+            h2 = _read(rec, *pair, "h2_endo")
+            if pair not in rec or (p.generically_smooth is True) != (h2 == 0):
+                yield f"case {k}: generically_smooth {p.generically_smooth}, h2_endo {h2}"
+
+    col.first("moduli-smooth-h2", smooth_vs_h2())
 
 
 def run_cell_checks(cell: tuple[int, int, int], cohomology: Failures) -> list[CheckResult]:
@@ -468,15 +483,16 @@ def run_cell_checks(cell: tuple[int, int, int], cohomology: Failures) -> list[Ch
     a, b, c = cell
     col = _Collector(a, b, c)
     params = ScrollParams(a, b, c)
-    # one classification and one enumeration per triple; at a = b the swap
-    # fixes the parameters
+    # one classification and one enumeration per triple and per swapped
+    # triple; at a = b the swap fixes the parameters
     bundles = classify_ulrich_line_bundles(params)
-    _classification_checks(col, params, bundles)
+    sw = params.swapped()
+    swapped_bundles = bundles if a == b else classify_ulrich_line_bundles(sw)
+    _classification_checks(col, params, bundles, swapped_bundles)
     _chow_checks(col, params)
     _cohomology_checks(col, cohomology)
     records = enumerate_cases(params, bundles)
-    sw = params.swapped()
-    swapped_records = records if a == b else enumerate_cases(sw, classify_ulrich_line_bundles(sw))
+    swapped_records = records if a == b else enumerate_cases(sw, swapped_bundles)
     rec = {(r.sub_tag, r.quot_tag): r for r in records}
     _ext_checks(col, params, rec, swapped_records)
     _chern_checks(col, params, rec)
@@ -501,6 +517,27 @@ def run_cohomology_box_checks(swept: dict[tuple[int, int], Failures]) -> list[Ch
             for r in col.results
         )
     return out
+
+
+def run_grid(cells: Iterable[tuple[int, int, int]]) -> list[CheckResult]:
+    """Every check of the triples `cells` and of the fixed grids, by (a, b, c, check).
+
+    The cells run one family after another, (a, b) with its base swap (b, a),
+    since the cohomology cache keeps one family and each cell also classifies
+    its swapped triple; each family is swept once (`cohomology_failures`),
+    and its cells and representative rows read that sweep.
+    """
+    results = []
+    swept = {}
+    for cell in sorted(cells, key=lambda cell: (min(cell[:2]), max(cell[:2]), cell)):
+        if cell[:2] not in swept:
+            swept[cell[:2]] = cohomology_failures(ScrollParams(*cell))
+        results.extend(run_cell_checks(cell, swept[cell[:2]]))
+    results.extend(run_cohomology_box_checks(swept))
+    results.extend(run_tower_checks())
+    results.extend(run_instanton_checks())
+    results.sort(key=lambda r: (r.a, r.b, r.c, r.check))
+    return results
 
 
 # Ranks at which the tower closed forms are compared: four of each parity,

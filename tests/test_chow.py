@@ -159,6 +159,7 @@ def test_tuple_backed_classes_keep_class_semantics():
     assert 3 * s == s * 3 == s + s + s == Codim2Class(3, 6, 9)
     assert -s == Codim2Class(-1, -2, -3) and s - t == Codim2Class(1, 3, -4)
     assert s.swapped() == Codim2Class(1, 3, 2) and type(s.swapped()) is Codim2Class
+    assert d.swapped() == DivisorClass(2, 1, 3) and type(d.swapped()) is DivisorClass
     assert repr(s) == "Codim2Class(p=1, q=2, r=3)"
     with pytest.raises(AttributeError):
         d.x = 0

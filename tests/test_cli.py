@@ -193,27 +193,20 @@ def test_verify_negative_control_exits_one(capsys, monkeypatch):
     assert "Chern classes at r=5" in rows[0][5]
 
 
-@pytest.mark.parametrize("argv", [
-    ["classify", "--a", "0..2", "--b", "0..2", "--normalize"],
-    ["ext-table", "--a", "0..2", "--b", "0..2"],
-    ["verify", "--a", "0..2", "--b", "0..2"],
-])
-def test_grid_commands_work_one_family_at_a_time(capsys, monkeypatch, argv):
-    # the cohomology cache keeps one (a, b) family, (b, a) included; grid
-    # order comes back to (0, 1) at a = 1, after (0, 2)
+def test_verify_works_one_family_at_a_time(capsys, monkeypatch):
+    # the cohomology cache keeps one (a, b) family, (b, a) included, and each
+    # verify cell also classifies its swapped triple; grid order comes back to
+    # (0, 1) at a = 1, after (0, 2)
     families = []
+    cell_checks = verify_mod.run_cell_checks
 
-    def recorded(work):
-        def call(cell, *rest):
-            a, b = cell[:2]
-            families.append((min(a, b), max(a, b)))
-            return work(cell, *rest)
-        return call
+    def recorded(cell, *rest):
+        a, b = cell[:2]
+        families.append((min(a, b), max(a, b)))
+        return cell_checks(cell, *rest)
 
-    classify, cell_checks = cli.classify_ulrich_line_bundles, verify_mod.run_cell_checks
-    monkeypatch.setattr(cli, "classify_ulrich_line_bundles", recorded(classify))
-    monkeypatch.setattr(verify_mod, "run_cell_checks", recorded(cell_checks))
-    assert run(argv, capsys)[0] == EXIT_OK
+    monkeypatch.setattr(verify_mod, "run_cell_checks", recorded)
+    assert run(["verify", "--a", "0..2", "--b", "0..2"], capsys)[0] == EXIT_OK
     runs = [f for i, f in enumerate(families) if i == 0 or f != families[i - 1]]
     assert sorted(runs) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 

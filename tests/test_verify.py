@@ -435,7 +435,7 @@ def test_bundle_dropped_at_swapped_triple_fails_rows_not_the_run(monkeypatch, ca
         verify, "classify_ulrich_line_bundles",
         lambda p: original(p)[:-1] if p.a > p.b else original(p),
     )
-    assert "ext-involution-orbits" in _cli_failures((0, 1, 3), capsys)
+    assert {"ext-involution-orbits", "ulrich-swap-invariance"} <= _cli_failures((0, 1, 3), capsys)
 
 
 def test_missing_record_fails_its_rows_not_the_run(monkeypatch, capsys):
@@ -452,6 +452,7 @@ def test_missing_record_fails_its_rows_not_the_run(monkeypatch, capsys):
     assert {
         "ext-N-NU", "chern-case1-c1", "obstruction-case1", "twist-case1-c2", "endo-case1-chi",
         "endo-case1-h2-guard", "endo-dual-pairs-nonpositive", "moduli-case1-special",
+        "moduli-smooth-h2",
     } <= _cli_failures((2, 3, 6), capsys)
 
 
@@ -532,6 +533,27 @@ def test_case7_chi_endo_minus_one_is_caught(monkeypatch, capsys, cell):
 
     _patch_everywhere(monkeypatch, original, mutant)
     assert {"endo-case7-chi", "moduli-case7"} <= _cli_failures(cell, capsys)
+
+
+def test_smoothness_claimed_where_h2_endo_is_nonzero_is_caught(monkeypatch, capsys):
+    # at (0, 2, c) case 1 has h^2(End F) = b - 1 = 1, so it may not be claimed smooth
+    original = verify.moduli_prediction
+
+    def mutant(params, case_id):
+        p = original(params, case_id)
+        if (params.a, params.b, case_id) == (0, 2, 1):
+            return p._replace(generically_smooth=True)
+        return p
+
+    monkeypatch.setattr(verify, "moduli_prediction", mutant)
+    assert "moduli-smooth-h2" in _cli_failures((0, 2, 4), capsys)
+
+
+def test_passing_rows_carry_no_detail(capsys):
+    assert main(["verify", "--a", "0..1", "--b", "0..1", "--normalize", "--all"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    rows = next(t for t in report["tables"] if t["name"] == "checks")["rows"]
+    assert [row for row in rows if row[4] == "pass" and row[5]] == []
 
 
 def test_degree_plus_one_is_caught(monkeypatch, capsys):
