@@ -10,14 +10,18 @@ for j = 1, 2, 3.  Two involutions act on the set of Ulrich line bundles:
 The classification scans 0 <= x, y <= 2 and a finite z-window.  The x, y
 bound is proved: Riemann-Roch factors as
 
-    2 chi(x, y, z) = (x+1)(y+1)(2z + 2 - bx - ay),
+    2 chi(x, y, z) = (x+1)(y+1)(2z + 2 - bx - ay)      (twice_chi),
 
 so chi(D - jh) = 0 for j = 1, 2, 3 forces each j to be a root of one of the
 three factors.  Each factor has at most one root in j (the last because
 c >= a + b + 1), so each must have one, and the first two have one only when
 0 <= x, y <= 2.  The same argument puts every Ulrich z at the root of the
-last factor for some j, inside the window.  This module only scans; the
-certificate of both bounds is `ulrich-scan-bounds` in verify.py.
+last factor for some j, inside the window.  The predicate uses the same
+vanishing as a sieve: a class with some chi(D - jh) != 0 is rejected from
+twice_chi alone, so h_scroll sees only the classes where all three vanish,
+a number that does not depend on c.  This module only scans; the
+certificate of both bounds, and of twice_chi against chi_closed_form, is
+`ulrich-scan-bounds` in verify.py.
 """
 
 from __future__ import annotations
@@ -58,14 +62,24 @@ class UlrichLineBundleRecord(NamedTuple):
     special_pairing: DivisorClass  # its Ulrich dual
 
 
+def twice_chi(a: int, b: int, x: int, y: int, z: int) -> int:
+    """2 chi(O(x, y, z)) on the scroll (a, b, *), by factored Riemann-Roch."""
+    return (x + 1) * (y + 1) * (2 * z + 2 - b * x - a * y)
+
+
 def is_ulrich_line(params: ScrollParams, div: DivisorClass) -> bool:
     """True iff h^*(D - jh) = 0 for j = 1, 2, 3.
 
-    Builds D - jh from the coordinates of D (h = xi + C0 + cF) and stops at
-    the first nonzero vector.
+    Builds D - jh from the coordinates of D (h = xi + C0 + cF).  The sieve
+    comes first: an Ulrich D has chi(D - jh) = 0 for each j, so a nonzero
+    twice_chi rejects D before any class is built.  Only the survivors ask
+    h_scroll, which stops at the first nonzero vector.
     """
-    c = params.c
+    a, b, c = params
     x, y, z = div
+    for j in (1, 2, 3):
+        if twice_chi(a, b, x - j, y - j, z - j * c):
+            return False
     for j in (1, 2, 3):
         if h_scroll(params, DivisorClass(x - j, y - j, z - j * c)) != ZERO_COHOMOLOGY:
             return False

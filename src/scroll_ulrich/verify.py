@@ -18,12 +18,13 @@ that `classify` and `ext-table` print (the dual of each classified bundle,
 the fields of the enumerate_cases records, by their two tags) and compare
 them with closed forms; a missing record fails its row.  These live only
 here: the O(1) certificate that the classification scan misses no Ulrich
-bundle, both its x, y bound and its z-window (`ulrich-scan-bounds`, with
-the one copy of the L_j root), the involution transport of the extension
-records (`ext-involution-orbits`), the closed forms of the rank-two
-invariants and of the moduli dimensions, and the closed forms of the
-extension tower with their certificate (`tower-closed-forms`, with the one
-copy of the h^1 closed form).
+bundle, both its x, y bound and its z-window, and that the Riemann-Roch
+sieve of the predicate is exact (`ulrich-scan-bounds`, with the one copy of
+the L_j root), the involution transport of the extension records
+(`ext-involution-orbits`), the closed forms of the rank-two invariants and
+of the moduli dimensions, and the closed forms of the extension tower with
+their certificate (`tower-closed-forms`, with the one copy of the h^1
+closed form).
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .ulrich import (
     is_ulrich_line,
     named_line_bundles,
     slope,
+    twice_chi,
     ulrich_dual,
     z_window,
 )
@@ -125,16 +127,18 @@ def verify_scan_bounds(params: ScrollParams) -> bool:
     j, so 0 <= x, y <= 2 and z is the root of L_j for some j.  The window:
     2 root = 2jc - 2 + b(x - j) + a(y - j), and with c >= a + b + 1 every
     root lies in [0, 3c - 1], strictly inside z_window = [-3c - a - b - 4,
-    4c + a + b + 2].  Checked here: the factorization against
-    chi_closed_form at 4 points per variable, the nonzero step, each of the
-    27 roots for 0 <= x, y <= 2 strictly inside z_window, and is_ulrich_line
-    rejecting the L_j root of each border row for j = 1, 2, 3: 36 calls.
+    4c + a + b + 2].  Checked here: the library's twice_chi, the sieve of
+    is_ulrich_line, against chi_closed_form at 4 points per variable (both
+    have degree at most 3 in each, so this proves the sieve exact), the nonzero
+    step, each of the 27 roots for 0 <= x, y <= 2 strictly inside z_window,
+    and is_ulrich_line rejecting the L_j root of each border row for
+    j = 1, 2, 3: 36 calls, each decided by the sieve, since the border rows
+    have some j with chi(D - jh) != 0.
     """
     a, b, c = params.a, params.b, params.c
     grid = range(4)
     factored = all(
-        2 * chi_closed_form(params, DivisorClass(x, y, z))
-        == (x + 1) * (y + 1) * (2 * z + 2 - b * x - a * y)
+        2 * chi_closed_form(params, DivisorClass(x, y, z)) == twice_chi(a, b, x, y, z)
         for x in grid for y in grid for z in grid
     )
     window = z_window(params)
@@ -156,8 +160,8 @@ def _classification_checks(
     """`records`, `swapped_records`: the classification of params and of params.swapped()."""
     _, d, g = numerical_invariants(params)
     col.equal("ulrich-count", len(records), expected_count(params))
-    col.check("ulrich-no-unnamed", all(r.tag != "other" for r in records),
-              str([r.divisor.as_tuple() for r in records if r.tag == "other"]))
+    unnamed = [r.divisor.as_tuple() for r in records if r.tag == "other"]
+    col.check("ulrich-no-unnamed", not unnamed, str(unnamed) if unnamed else "")
 
     forms = named_line_bundles(params)
     col.equal(
@@ -170,16 +174,18 @@ def _classification_checks(
     swapped_divisors = {r.divisor for r in swapped_records}
     for r in records:
         dual = r.special_pairing
-        col.check("ulrich-duality-closure", dual in divisors,
-                  f"dual of {r.divisor.as_tuple()} missing")
+        closed = dual in divisors
+        col.check("ulrich-duality-closure", closed,
+                  "" if closed else f"dual of {r.divisor.as_tuple()} missing")
         col.equal("ulrich-dual-involution",
                   ulrich_dual(params, dual), r.divisor)
         col.equal("ulrich-dual-tag", forms.get(DUAL_TAG[r.tag]), dual)
         col.equal("ulrich-h0-degree", h_scroll(params, r.divisor).h0, d)
         col.equal("ulrich-slope", slope(params, r.divisor, 1), Fraction(d + g - 1))
         sw_params, sw_div = base_swap(params, r.divisor)
-        col.check("ulrich-swap-invariance", sw_div in swapped_divisors,
-                  f"{r.divisor.as_tuple()} not Ulrich after swap")
+        invariant = sw_div in swapped_divisors
+        col.check("ulrich-swap-invariance", invariant,
+                  "" if invariant else f"{r.divisor.as_tuple()} not Ulrich after swap")
         col.equal("ulrich-swap-involution",
                   base_swap(sw_params, sw_div), (params, r.divisor))
     col.check("ulrich-scan-bounds", verify_scan_bounds(params))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scroll_ulrich import ulrich
 from scroll_ulrich import (
     Codim2Class,
     DivisorClass,
@@ -19,7 +20,8 @@ from scroll_ulrich import (
     slope,
     ulrich_dual,
 )
-from scroll_ulrich.ulrich import expected_count, z_window
+from scroll_ulrich.cohomology import chi_closed_form
+from scroll_ulrich.ulrich import expected_count, twice_chi, z_window
 from scroll_ulrich.verify import _l_root, verify_scan_bounds
 
 GRID = [
@@ -127,18 +129,54 @@ def test_swap_invariance_of_predicate():
 
 
 def test_predicate_matches_object_route():
-    # D - jh built from coordinates against D - jh built by class arithmetic
+    # D - jh built from coordinates against D - jh built by class arithmetic, and
+    # the Riemann-Roch sieve against h_scroll alone, at small c and at one large c
     for a in range(3):
         for b in range(3):
-            for c in range(a + b + 1, a + b + 4):
+            for c in (*range(a + b + 1, a + b + 4), 40):
                 p = ScrollParams(a, b, c)
-                for x in range(-2, 5):
-                    for y in range(-2, 5):
+                for x in range(-3, 6):
+                    for y in range(-3, 6):
                         for z in z_window(p):
                             d = DivisorClass(x, y, z)
                             assert is_ulrich_line(p, d) == all(
                                 h_scroll(p, d - j * p.h).is_zero() for j in (1, 2, 3)
                             )
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 10**6), st.integers(0, 10**6),
+    st.integers(-10**9, 10**9), st.integers(-10**9, 10**9), st.integers(-10**12, 10**12),
+)
+def test_factored_riemann_roch_is_twice_chi(a, b, x, y, z):
+    p = ScrollParams(a, b, a + b + 1)
+    assert twice_chi(a, b, x, y, z) == 2 * chi_closed_form(p, DivisorClass(x, y, z))
+
+
+# (a, b) -> h_scroll calls beyond three per Ulrich bundle.  At (2, 3) two classes
+# have chi(D - jh) = 0 for j = 1, 2, 3 and are not Ulrich: (1, 0, 3c - 7), whose
+# D - 3h has h^2 = h^3 = 1 (three calls), and (1, 2, c), whose D - h has
+# h^0 = h^1 = 1 (one call).
+NUMERICAL_NON_ULRICH_CALLS = {(0, 0): 0, (0, 1): 0, (2, 3): 4}
+
+
+@pytest.mark.parametrize("a, b", sorted(NUMERICAL_NON_ULRICH_CALLS))
+def test_h_scroll_calls_do_not_depend_on_c(monkeypatch, a, b):
+    calls = []
+
+    def counted(params, div):
+        calls.append(div)
+        return h_scroll(params, div)
+
+    monkeypatch.setattr(ulrich, "h_scroll", counted)
+    counts = set()
+    for c in (a + b + 1, 10, 2000):
+        calls.clear()
+        records = classify_ulrich_line_bundles(ScrollParams(a, b, c))
+        assert len(calls) == 3 * len(records) + NUMERICAL_NON_ULRICH_CALLS[a, b], c
+        counts.add(len(calls))
+    assert len(counts) == 1
 
 
 def test_scan_bound_reverification():

@@ -110,6 +110,24 @@ def test_broken_factorization_is_caught(monkeypatch):
     assert not row.ok
 
 
+def test_sieve_with_2z_off_by_one_is_caught(monkeypatch, capsys):
+    # the sieve of is_ulrich_line reads 2z + 1 for 2z; the certificate's own name is intact
+    original = ulrich.twice_chi
+    monkeypatch.setattr(
+        ulrich, "twice_chi", lambda a, b, x, y, z: original(a, b, x, y, z) + (x + 1) * (y + 1)
+    )
+    assert {"ulrich-count", "ulrich-closed-forms"} <= _cli_failures((0, 1, 3), capsys)
+
+
+def test_factored_riemann_roch_with_ay_sign_flipped_is_caught(monkeypatch, capsys):
+    # the library's form, read by the sieve and by the certificate alike
+    _patch_everywhere(
+        monkeypatch, ulrich.twice_chi,
+        lambda a, b, x, y, z: (x + 1) * (y + 1) * (2 * z + 2 - b * x + a * y),
+    )
+    assert "ulrich-scan-bounds" in _cli_failures((1, 2, 4), capsys)
+
+
 @pytest.mark.parametrize("c", [3, 300])
 def test_scan_bound_certificate_is_constant_size(monkeypatch, c):
     calls = []
@@ -547,6 +565,22 @@ def test_smoothness_claimed_where_h2_endo_is_nonzero_is_caught(monkeypatch, caps
 
     monkeypatch.setattr(verify, "moduli_prediction", mutant)
     assert "moduli-smooth-h2" in _cli_failures((0, 2, 4), capsys)
+
+
+def test_failing_classification_rows_keep_their_detail(monkeypatch):
+    cell = (0, 1, 3)
+    p = ScrollParams(*cell)
+    n = ulrich.named_line_bundles(p)["N"]
+    original = ulrich.is_ulrich_line
+    monkeypatch.setattr(ulrich, "is_ulrich_line", lambda q, d: original(q, d) or d == n + F)
+    classify = verify.classify_ulrich_line_bundles
+    monkeypatch.setattr(verify, "classify_ulrich_line_bundles",
+                        lambda q: classify(q)[:-1] if q.a > q.b else classify(q))
+    rows = {r.check: r for r in _cell_checks(cell) if not r.ok}
+    extra = (n + F).as_tuple()
+    assert rows["ulrich-no-unnamed"].detail == str([extra])
+    assert rows["ulrich-duality-closure"].detail == f"dual of {extra} missing"
+    assert rows["ulrich-swap-invariance"].detail.endswith("not Ulrich after swap")
 
 
 def test_passing_rows_carry_no_detail(capsys):
