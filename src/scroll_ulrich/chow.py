@@ -18,9 +18,10 @@ so the checked-width concern of a fixed-size implementation does not arise.
 
 DivisorClass and Codim2Class are NamedTuples with class arithmetic: +, -,
 unary - and integer scaling on either side, never tuple concatenation or
-repetition.  As tuples they compare equal to the plain tuple of their
-coefficients, so DivisorClass(1, 2, 3) == Codim2Class(1, 2, 3).  ScrollParams
-is a validating NamedTuple too, so ScrollParams(1, 2, 4) == (1, 2, 4).
+repetition, and each result is a class of the same kind.  As tuples
+they compare equal to the plain tuple of their coefficients, so
+DivisorClass(1, 2, 3) == Codim2Class(1, 2, 3).  ScrollParams is a
+validating NamedTuple too, so ScrollParams(1, 2, 4) == (1, 2, 4).
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ class ScrollParams(_Params):
         return ScrollParams(self.b, self.a, self.c)
 
 
+# The arithmetic of the two unvalidated classes below unpacks its operands and
+# builds its result as the NamedTuple's own __new__ and _make do, skipping the
+# field descriptors, whose reads CPython 3.11 does not specialise.  Never for
+# ScrollParams, whose __new__ validates.
+_new = tuple.__new__
+
+
 class DivisorClass(NamedTuple):
     """x*xi + y*C0 + z*F with integer coefficients."""
 
@@ -79,16 +87,22 @@ class DivisorClass(NamedTuple):
     z: int
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.x + other.x, self.y + other.y, self.z + other.z)
+        x, y, z = self
+        u, v, w = other
+        return _new(DivisorClass, (x + u, y + v, z + w))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.x - other.x, self.y - other.y, self.z - other.z)
+        x, y, z = self
+        u, v, w = other
+        return _new(DivisorClass, (x - u, y - v, z - w))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.x, -self.y, -self.z)
+        x, y, z = self
+        return _new(DivisorClass, (-x, -y, -z))
 
     def __mul__(self, n: int) -> "DivisorClass":
-        return DivisorClass(n * self.x, n * self.y, n * self.z)
+        x, y, z = self
+        return _new(DivisorClass, (n * x, n * y, n * z))
 
     __rmul__ = __mul__
 
@@ -108,16 +122,22 @@ class Codim2Class(NamedTuple):
     r: int
 
     def __add__(self, other: "Codim2Class") -> "Codim2Class":
-        return Codim2Class(self.p + other.p, self.q + other.q, self.r + other.r)
+        p, q, r = self
+        u, v, w = other
+        return _new(Codim2Class, (p + u, q + v, r + w))
 
     def __sub__(self, other: "Codim2Class") -> "Codim2Class":
-        return Codim2Class(self.p - other.p, self.q - other.q, self.r - other.r)
+        p, q, r = self
+        u, v, w = other
+        return _new(Codim2Class, (p - u, q - v, r - w))
 
     def __neg__(self) -> "Codim2Class":
-        return Codim2Class(-self.p, -self.q, -self.r)
+        p, q, r = self
+        return _new(Codim2Class, (-p, -q, -r))
 
     def __mul__(self, n: int) -> "Codim2Class":
-        return Codim2Class(n * self.p, n * self.q, n * self.r)
+        p, q, r = self
+        return _new(Codim2Class, (n * p, n * q, n * r))
 
     __rmul__ = __mul__
 

@@ -13,8 +13,12 @@ The alternating sum of any h-vector equals the closed polynomial
 
     chi(x, y, z) = (x+1)(y+1)(z+1) - b(y+1)x(x+1)/2 - a(x+1)y(y+1)/2
 
-for *all* integer (x, y, z); this is the strongest correctness oracle for
-the sign branches and is exercised heavily by the test suite.
+for *all* integer (x, y, z) (Riemann-Roch; Fulton, Intersection Theory,
+Cor. 15.2.1).  `chi` evaluates this polynomial and never asks h_scroll, so
+the O(r^2) chi sums of the tower report cost no cohomology.  Against the
+h-vectors it is the strongest correctness oracle for the sign branches:
+`verify` compares the two on every line of its cohomology box, and the
+test suite exercises it heavily.
 
 The surface layer is closed-form.  For alpha >= 0 the P^1 sums
 
@@ -35,9 +39,9 @@ by the largest family a run touches, not by the number of families.  The
 swap stays because the swap checks and the swapped classification of a cell
 query (b, a) between the (a, b) calls of that cell.
 The family test runs inside the cached function, that is on misses only, so
-the hit path that the classification scans and the tower report take, a few
-small classes re-queried many times, costs nothing extra.  Correctness does
-not depend on the cache, and the Serre recursion stays inside one family.
+the hit path that the classification scans take, a few small classes
+re-queried many times, costs nothing extra.  Correctness does not depend
+on the cache, and the Serre recursion stays inside one family.
 The strips x = -1 and y = -1 stay out of the cache: each is a relative O(-1)
 for one of the two scroll structures (X is also a P^1-bundle over F_b, with
 x and y swapped), so all its cohomology vanishes and h_scroll answers
@@ -154,19 +158,23 @@ def h_scroll(params: ScrollParams, div: DivisorClass) -> CohomologyVector:
 
 
 def chi(params: ScrollParams, div: DivisorClass) -> int:
-    """Euler characteristic h0 - h1 + h2 - h3."""
-    return h_scroll(params, div).chi
+    """Euler characteristic h0 - h1 + h2 - h3, by the Riemann-Roch polynomial.
 
-
-def chi_closed_form(params: ScrollParams, div: DivisorClass) -> int:
-    """Riemann-Roch polynomial; agrees with chi() on every integer class."""
-    a, b = params.a, params.b
-    x, y, z = div.x, div.y, div.z
+    Asks neither h_scroll nor its cache; `verify` certifies this polynomial
+    against every h^i of the cohomology box (cohomology-chi-oracle).
+    """
+    a, b, _ = params
+    x, y, z = div
     return (
         (x + 1) * (y + 1) * (z + 1)
         - b * (y + 1) * (x * (x + 1) // 2)
         - a * (x + 1) * (y * (y + 1) // 2)
     )
+
+
+def chi_closed_form(params: ScrollParams, div: DivisorClass) -> int:
+    """The Riemann-Roch polynomial of chi(), under the name verify checks it by."""
+    return chi(params, div)
 
 
 def serre_dual(params: ScrollParams, div: DivisorClass) -> DivisorClass:

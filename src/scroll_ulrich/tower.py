@@ -19,7 +19,10 @@ the Chern classes, of the chi ladders (-r-2 / -r against the next quotient,
 Chern closed forms for all (a, b, c, r).
 
 The chi bookkeeping (chi of G_r against a line bundle, chi of End(G_r)) is
-additive over the filtration by construction.  The chi closed forms and the
+additive over the filtration by construction: a sum of chi of line bundles,
+each the Riemann-Roch polynomial, so the O(r^2) pair sum of chi(End G_r)
+asks no cohomology.  Only the two h^1 seeds of `tower_h1_recursion` read
+h_scroll, once per cell whatever r_max is.  The chi closed forms and the
 h^1 sequence hold under the hypothesis 0 <= a <= b <= 1, where h^1 of both
 differences of the N pair equals 3.  Individual h^i of End(G_r) are not
 Chern-determined and are not computed; the h^1 sequence is conditional on
@@ -81,7 +84,11 @@ def chi_tower_vs_line(params: ScrollParams, r: int, target: DivisorClass) -> int
 
 
 def chi_endo_tower(params: ScrollParams, r: int) -> int:
-    """chi(G_r (x) G_r^dual) = sum over all quotient pairs of chi(q_i - q_j)."""
+    """chi(G_r (x) G_r^dual) = sum over all quotient pairs of chi(q_i - q_j).
+
+    r^2 evaluations of the Riemann-Roch polynomial; the deformation count of
+    the tower component is 1 - chi(End G_r).
+    """
     quotients = _quotients(params, r)
     return sum(chi(params, qi - qj) for qi in quotients for qj in quotients)
 

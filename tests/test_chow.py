@@ -171,6 +171,39 @@ def test_tuple_backed_classes_keep_class_semantics():
     assert d == (1, 2, 3) == s and d.as_tuple() == s.as_tuple() == (1, 2, 3)
 
 
+codim2 = st.builds(Codim2Class, st.integers(-99, 99), st.integers(-99, 99), st.integers(-99, 99))
+
+
+@given(st.one_of(st.tuples(divisors, divisors), st.tuples(codim2, codim2)), st.integers(-9, 9))
+def test_arithmetic_builds_fresh_instances_of_its_class(pair, n):
+    # the operators skip the constructor; their results must not show it
+    u, v = pair
+    cls = type(u)
+    for got, want in (
+        (u + v, [s + t for s, t in zip(u, v)]),
+        (u - v, [s - t for s, t in zip(u, v)]),
+        (-u, [-s for s in u]),
+        (n * u, [n * s for s in u]),
+        (u * n, [n * s for s in u]),
+    ):
+        fresh = cls(*want)
+        assert type(got) is cls
+        assert got == fresh and hash(got) == hash(fresh) and repr(got) == repr(fresh)
+        assert got._fields == fresh._fields and got._asdict() == fresh._asdict()
+
+
+@given(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 9)))
+def test_params_still_validate_every_route(abc):
+    a, b, c = abc
+    if a >= 0 and b >= 0 and c >= a + b + 1:
+        assert ScrollParams(a, b, c) == ScrollParams._make(abc) == abc
+    else:
+        with pytest.raises(ValueError):
+            ScrollParams(a, b, c)
+        with pytest.raises(ValueError):
+            ScrollParams._make(abc)
+
+
 def test_derived_classes_are_kept_and_leave_equality_alone():
     p = ScrollParams(1, 2, 4)
     assert p.h is p.h and p.canonical is p.canonical

@@ -17,7 +17,7 @@ from scroll_ulrich import (
     slope,
     tower_h1_recursion,
 )
-from scroll_ulrich import tower
+from scroll_ulrich import cohomology, tower
 from scroll_ulrich.cli import main
 from scroll_ulrich.tower import in_tower_hypothesis, tower_pair
 from scroll_ulrich.verify import _closed_c1, _closed_c2, _closed_c3
@@ -196,3 +196,18 @@ def test_chi_endo_reads_the_named_forms_once(monkeypatch):
         reads.clear()
         assert chi_endo_tower(p, r) == (-r * r + 2 if r % 2 else -r * r)
         assert len(reads) == 1
+
+
+def test_h_scroll_calls_do_not_depend_on_rmax(monkeypatch, capsys):
+    # chi is the Riemann-Roch polynomial, so the r^2 pair sums of chi(End G_r)
+    # ask no cohomology: h_scroll answers the two h^1 seeds, whatever rmax is
+    in_cohomology = _counted(monkeypatch, cohomology, "h_scroll")
+    in_tower = _counted(monkeypatch, tower, "h_scroll")
+    n_dual, n = tower_pair(ScrollParams(0, 1, 3))
+    for rmax in (10, 100):
+        in_cohomology.clear()
+        in_tower.clear()
+        assert main(f"tower-report --a 0 --b 1 --c 3 --rmax {rmax}".split()) == 0
+        capsys.readouterr()
+        calls = [div for _, div in in_cohomology + in_tower]
+        assert calls == [n_dual - n, n - n_dual], rmax

@@ -312,6 +312,17 @@ def test_chi_closed_form_plus_one_is_caught(monkeypatch, capsys):
     assert {"cohomology-chi-oracle", "ulrich-scan-bounds"} <= _cli_failures((0, 1, 3), capsys)
 
 
+def test_riemann_roch_plus_one_at_x_minus_two_is_caught(monkeypatch, capsys):
+    # one Riemann-Roch body, chi: the tower's pair sums and the rank-two chi(End)
+    # read it by that name, verify's box through chi_closed_form.  x = -2 holds
+    # N^U - N, so the tower and case-1 rows fail, and so does the box.
+    original = cohomology.chi
+    _patch_everywhere(monkeypatch, original, lambda p, d: original(p, d) + (d.x == -2))
+    assert {"tower-closed-forms", "endo-case1-chi", "cohomology-chi-oracle"} <= _cli_failures(
+        (0, 1, 3), capsys
+    )
+
+
 def test_ext1_dim_reversed_is_caught(monkeypatch, capsys):
     original = extensions.ext1_dim
     _patch_everywhere(monkeypatch, original, lambda p, u, v: original(p, v, u))
