@@ -31,37 +31,23 @@ term depends on floor((z - j b + 1) / a), so the sum is a quasi-polynomial
 in j rather than a polynomial.  One evaluation costs O(|x|) after Serre
 normalisation, independent of y and z.
 
-Only the scroll layer is memoized, on (a, b, x, y, z), and only for one
-family at a time: the pair (a, b) of the latest miss together with its base
-swap (b, a), which describes the same threefolds as a P^1-bundle over F_b.
-A miss from any other pair first empties the cache, so memory is bounded
-by the largest family a run touches, not by the number of families.  The
-swap stays because the swap checks and the swapped classification of a cell
-query (b, a) between the (a, b) calls of that cell.
-The family test runs inside the cached function, that is on misses only, so
-the hit path that the classification scans take, a few small classes
-re-queried many times, costs nothing extra.  Correctness does not depend
-on the cache, and the Serre recursion stays inside one family.
-The strips x = -1 and y = -1 stay out of the cache: each is a relative O(-1)
-for one of the two scroll structures (X is also a P^1-bundle over F_b, with
-x and y swapped), so all its cohomology vanishes and h_scroll answers
-ZERO_COHOMOLOGY before the lookup.  Serre duality maps x <= -2 to x >= 0 and
-keeps y off -1, so the recursion never reaches a strip either.
+Nothing is memoized: h_scroll is a pure function of (params, div).
+The strips x = -1 and y = -1 are answered before the scroll layer: each is a
+relative O(-1) for one of the two scroll structures (X is also a P^1-bundle
+over F_b, with x and y swapped), so all its cohomology vanishes and h_scroll
+returns ZERO_COHOMOLOGY.  Serre duality maps x <= -2 to x >= 0 and keeps y
+off -1, so the recursion never reaches a strip either.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .chow import DivisorClass, ScrollParams
 
 
 class CohomologyVector(NamedTuple):
-    """The four dimensions (h0, h1, h2, h3), all non-negative.
-
-    Immutable, so one cached instance can be shared by every caller.
-    """
+    """The four dimensions (h0, h1, h2, h3), all non-negative."""
 
     h0: int
     h1: int
@@ -123,17 +109,8 @@ def h_hirzebruch(a: int, alpha: int, beta: int) -> CohomologyVector:
     return CohomologyVector(h0, h1, h2, 0)
 
 
-# The (a, b) whose family the cache holds.
-_family = None
-
-
-@lru_cache(maxsize=None)
 def _h_scroll(a: int, b: int, x: int, y: int, z: int) -> CohomologyVector:
     """Any class off the strips x = -1 and y = -1."""
-    global _family
-    if _family != (a, b) and _family != (b, a):
-        _h_scroll.cache_clear()
-        _family = (a, b)
     if x >= 0:
         h0 = h1 = h2 = 0
         for j in range(x + 1):
@@ -147,10 +124,7 @@ def _h_scroll(a: int, b: int, x: int, y: int, z: int) -> CohomologyVector:
 
 
 def h_scroll(params: ScrollParams, div: DivisorClass) -> CohomologyVector:
-    """h^i(X, O(x, y, z)) for any integer divisor class.
-
-    The returned vector is shared with the cache and every other caller.
-    """
+    """h^i(X, O(x, y, z)) for any integer divisor class."""
     x, y = div.x, div.y
     if x == -1 or y == -1:
         return ZERO_COHOMOLOGY
@@ -160,8 +134,8 @@ def h_scroll(params: ScrollParams, div: DivisorClass) -> CohomologyVector:
 def chi(params: ScrollParams, div: DivisorClass) -> int:
     """Euler characteristic h0 - h1 + h2 - h3, by the Riemann-Roch polynomial.
 
-    Asks neither h_scroll nor its cache; `verify` certifies this polynomial
-    against every h^i of the cohomology box (cohomology-chi-oracle).
+    Never asks h_scroll; `verify` certifies this polynomial against every h^i
+    of the cohomology box (cohomology-chi-oracle).
     """
     a, b, _ = params
     x, y, z = div

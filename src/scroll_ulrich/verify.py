@@ -10,7 +10,7 @@ fixed-grid checks (cohomology box at representative parameters, tower,
 instanton) run once.  The cohomology box reads (a, b) and not c, so
 `run_grid` sweeps it once per (a, b) (`cohomology_failures`), and every
 cell and representative row of that family reads its first failures from
-that sweep while the cohomology cache still holds the family.
+that sweep.
 
 The library computes and this module checks what it computed: the cell
 rows of the Ulrich dual and of the rank-two invariants read the records
@@ -528,14 +528,12 @@ def run_cohomology_box_checks(swept: dict[tuple[int, int], Failures]) -> list[Ch
 def run_grid(cells: Iterable[tuple[int, int, int]]) -> list[CheckResult]:
     """Every check of the triples `cells` and of the fixed grids, by (a, b, c, check).
 
-    The cells run one family after another, (a, b) with its base swap (b, a),
-    since the cohomology cache keeps one family and each cell also classifies
-    its swapped triple; each family is swept once (`cohomology_failures`),
-    and its cells and representative rows read that sweep.
+    Each (a, b) is swept once (`cohomology_failures`), and its cells and
+    representative rows read that sweep.
     """
     results = []
     swept = {}
-    for cell in sorted(cells, key=lambda cell: (min(cell[:2]), max(cell[:2]), cell)):
+    for cell in sorted(cells):
         if cell[:2] not in swept:
             swept[cell[:2]] = cohomology_failures(ScrollParams(*cell))
         results.extend(run_cell_checks(cell, swept[cell[:2]]))

@@ -193,24 +193,6 @@ def test_verify_negative_control_exits_one(capsys, monkeypatch):
     assert "Chern classes at r=5" in rows[0][5]
 
 
-def test_verify_works_one_family_at_a_time(capsys, monkeypatch):
-    # the cohomology cache keeps one (a, b) family, (b, a) included, and each
-    # verify cell also classifies its swapped triple; grid order comes back to
-    # (0, 1) at a = 1, after (0, 2)
-    families = []
-    cell_checks = verify_mod.run_cell_checks
-
-    def recorded(cell, *rest):
-        a, b = cell[:2]
-        families.append((min(a, b), max(a, b)))
-        return cell_checks(cell, *rest)
-
-    monkeypatch.setattr(verify_mod, "run_cell_checks", recorded)
-    assert run(["verify", "--a", "0..2", "--b", "0..2"], capsys)[0] == EXIT_OK
-    runs = [f for i, f in enumerate(families) if i == 0 or f != families[i - 1]]
-    assert sorted(runs) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-
-
 def _fresh_python(args, stdout=subprocess.PIPE, **env):
     """Run `python args` in a new interpreter that imports this checkout's package."""
     path = [str(Path(scroll_ulrich.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]

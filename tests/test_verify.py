@@ -371,16 +371,7 @@ def test_h3_of_an_effective_class_is_caught(monkeypatch, capsys):
     assert "cohomology-degree-bounds" in _cli_failures((0, 1, 3), capsys)
 
 
-@pytest.fixture
-def fresh_h_cache():
-    """Empty the h_scroll cache before and after, so that no mutated vector outlives the test."""
-    clear = cohomology._h_scroll.cache_clear
-    clear()
-    yield
-    clear()
-
-
-def test_h_falling_past_the_upper_wall_is_caught(fresh_h_cache, monkeypatch, capsys):
+def test_h_falling_past_the_upper_wall_is_caught(monkeypatch, capsys):
     # h^0 and h^1 of the line (3, 3) both gain hi + 10**6 - z past its upper wall hi:
     # chi, Serre duality and every swept value hold, only the outward slope is wrong
     original = cohomology._h_scroll
@@ -393,7 +384,6 @@ def test_h_falling_past_the_upper_wall_is_caught(fresh_h_cache, monkeypatch, cap
         t = hi + 10**6 - z
         return vec._replace(h0=vec.h0 + t, h1=vec.h1 + t)
 
-    mutant.cache_clear = original.cache_clear  # a new family clears by the global name
     monkeypatch.setattr(cohomology, "_h_scroll", mutant)
     assert _cli_failures((1, 2, 4), capsys) == {
         "cohomology-degree-bounds", "cohomology-degree-bounds-representative-box"
@@ -421,7 +411,7 @@ def _series_of_m_plus_one(c, step, n):
 
 
 def _scroll_mutant(js, shift):
-    """_h_scroll, uncached, summing over j in js(x) with the j-th term at z - shift(j, b)."""
+    """_h_scroll, summing over j in js(x) with the j-th term at z - shift(j, b)."""
 
     def mutant(a, b, x, y, z):
         if x < 0:
@@ -440,9 +430,7 @@ def _scroll_mutant(js, shift):
     ("_h_scroll", _scroll_mutant(range, lambda j, b: j * b)),
     ("_h_scroll", _scroll_mutant(lambda x: range(x + 1), lambda j, b: j * b + (j >= 2))),
 ], ids=["series-one-term-too-many", "series-m-plus-one", "j-loop-one-short", "step-b-plus-one-at-j-2"])
-def test_structural_cohomology_mutant_is_caught(
-    fresh_h_cache, monkeypatch, capsys, name, replacement
-):
+def test_structural_cohomology_mutant_is_caught(monkeypatch, capsys, name, replacement):
     monkeypatch.setattr(cohomology, name, replacement)
     assert "cohomology-chi-oracle" in _cli_failures((1, 2, 4), capsys)
 
