@@ -1,101 +1,82 @@
-"""Exact Ulrich-bundle invariants on threefold scrolls over Hirzebruch surfaces."""
+"""Exact Ulrich-bundle invariants on threefold scrolls over Hirzebruch surfaces.
 
-from .chow import (
-    Codim2Class,
-    DivisorClass,
-    ScrollParams,
-    mul_div_c2,
-    mul_div_div,
-    numerical_invariants,
-    triple,
-)
-from .cohomology import (
-    CohomologyVector,
-    chi,
-    chi_closed_form,
-    h_hirzebruch,
-    h_p1,
-    h_scroll,
-    serre_dual,
-)
-from .extensions import (
-    InapplicableCaseError,
-    InstantonTriple,
-    ModuliPrediction,
-    Rank2ExtensionRecord,
-    VanishingHypothesisError,
-    chi_endomorphisms_rank2,
-    enumerate_cases,
-    ext1_dim,
-    extension_chern,
-    h2_endomorphisms_rank2,
-    instanton_admissible,
-    moduli_prediction,
-    twisted_chern,
-)
-from .tower import (
-    TowerBundle,
-    chi_endo_tower,
-    chi_tower_vs_line,
-    iter_tower,
-    moduli_dim_gap,
-    moduli_dim_tower,
-    tower_h1_recursion,
-)
-from .ulrich import (
-    UlrichLineBundleRecord,
-    base_swap,
-    classify_ulrich_line_bundles,
-    is_special_rank2,
-    is_ulrich_line,
-    named_line_bundles,
-    pullback_obstruction_report,
-    slope,
-    ulrich_dual,
-)
+A layer module is imported when one of its public names is first used, so
+that `import scroll_ulrich` loads no layer, and a CLI command loads only the
+layers it runs.
+"""
 
-__all__ = [
-    "Codim2Class",
-    "CohomologyVector",
-    "DivisorClass",
-    "InapplicableCaseError",
-    "InstantonTriple",
-    "ModuliPrediction",
-    "Rank2ExtensionRecord",
-    "ScrollParams",
-    "TowerBundle",
-    "UlrichLineBundleRecord",
-    "VanishingHypothesisError",
-    "base_swap",
-    "chi",
-    "chi_closed_form",
-    "chi_endo_tower",
-    "chi_endomorphisms_rank2",
-    "chi_tower_vs_line",
-    "classify_ulrich_line_bundles",
-    "enumerate_cases",
-    "ext1_dim",
-    "extension_chern",
-    "h2_endomorphisms_rank2",
-    "h_hirzebruch",
-    "h_p1",
-    "h_scroll",
-    "instanton_admissible",
-    "is_special_rank2",
-    "is_ulrich_line",
-    "iter_tower",
-    "moduli_dim_gap",
-    "moduli_dim_tower",
-    "moduli_prediction",
-    "mul_div_c2",
-    "mul_div_div",
-    "named_line_bundles",
-    "numerical_invariants",
-    "pullback_obstruction_report",
-    "serre_dual",
-    "slope",
-    "tower_h1_recursion",
-    "triple",
-    "twisted_chern",
-    "ulrich_dual",
-]
+from importlib import import_module
+
+_LAYERS = {
+    "chow": (
+        "Codim2Class",
+        "DivisorClass",
+        "ScrollParams",
+        "mul_div_c2",
+        "mul_div_div",
+        "numerical_invariants",
+        "triple",
+    ),
+    "cohomology": (
+        "CohomologyVector",
+        "chi",
+        "chi_closed_form",
+        "h_hirzebruch",
+        "h_p1",
+        "h_scroll",
+        "serre_dual",
+    ),
+    "extensions": (
+        "InapplicableCaseError",
+        "InstantonTriple",
+        "ModuliPrediction",
+        "Rank2ExtensionRecord",
+        "VanishingHypothesisError",
+        "chi_endomorphisms_rank2",
+        "enumerate_cases",
+        "ext1_dim",
+        "extension_chern",
+        "h2_endomorphisms_rank2",
+        "instanton_admissible",
+        "moduli_prediction",
+        "twisted_chern",
+    ),
+    "tower": (
+        "TowerBundle",
+        "chi_endo_tower",
+        "chi_tower_vs_line",
+        "iter_tower",
+        "moduli_dim_gap",
+        "moduli_dim_tower",
+        "tower_h1_recursion",
+    ),
+    "ulrich": (
+        "UlrichLineBundleRecord",
+        "base_swap",
+        "classify_ulrich_line_bundles",
+        "is_special_rank2",
+        "is_ulrich_line",
+        "named_line_bundles",
+        "pullback_obstruction_report",
+        "slope",
+        "ulrich_dual",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+__all__ = sorted(_LAYER_OF)
+
+
+def __getattr__(name: str):
+    """Import the layer that defines `name` and bind the name here (PEP 562)."""
+    try:
+        layer = _LAYER_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{layer}", __name__), name)
+    globals()[name] = value  # later reads are plain attribute access
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -16,18 +16,11 @@ import sys
 from collections.abc import Iterator
 from typing import NamedTuple
 
+# Every command runs chow and cohomology.  Each command imports the other
+# layers it runs where it runs: every CLI call is a fresh interpreter, which
+# would otherwise load (and, with no cached bytecode, compile) every layer.
 from .chow import DivisorClass, ScrollParams, mul_div_c2, mul_div_div, numerical_invariants
 from .cohomology import chi_closed_form, h_scroll, serre_dual
-from .extensions import enumerate_cases, instanton_admissible, moduli_prediction
-from .tower import (
-    chi_endo_tower,
-    in_tower_hypothesis,
-    iter_tower,
-    moduli_dim_gap,
-    moduli_dim_tower,
-    tower_h1_recursion,
-)
-from .ulrich import DUAL_TAG, classify_ulrich_line_bundles, slope
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -164,6 +157,8 @@ def _coeffs(t: tuple[int, ...]) -> str:
 
 
 def cmd_classify(args) -> tuple[Report, int]:
+    from .ulrich import DUAL_TAG, classify_ulrich_line_bundles, slope
+
     table = Table(
         "ulrich-line-bundles",
         ["a", "b", "c", "status", "tag", "divisor", "dual_tag", "dual", "h0", "slope"],
@@ -228,6 +223,9 @@ def cmd_chow(args) -> tuple[Report, int]:
 
 
 def cmd_ext_table(args) -> tuple[Report, int]:
+    from .extensions import enumerate_cases, moduli_prediction
+    from .ulrich import classify_ulrich_line_bundles
+
     records = Table(
         "rank2-extensions",
         [
@@ -274,6 +272,16 @@ def cmd_ext_table(args) -> tuple[Report, int]:
 
 
 def cmd_tower_report(args) -> tuple[Report, int]:
+    from .tower import (
+        chi_endo_tower,
+        in_tower_hypothesis,
+        iter_tower,
+        moduli_dim_gap,
+        moduli_dim_tower,
+        tower_h1_recursion,
+    )
+    from .ulrich import slope
+
     if args.rmax < 1:
         raise ConfigError(f"--rmax must be >= 1, got {args.rmax}")
     chern = Table(
@@ -310,6 +318,8 @@ def cmd_tower_report(args) -> tuple[Report, int]:
 
 
 def cmd_instanton(args) -> tuple[Report, int]:
+    from .extensions import instanton_admissible
+
     table = Table(
         "instanton-triples",
         ["c", "case", "k1", "k2", "k3", "charge", "c2_after_twist", "predicted_dim"],
@@ -327,8 +337,6 @@ def cmd_instanton(args) -> tuple[Report, int]:
 
 
 def cmd_verify(args) -> tuple[Report, int]:
-    # imported here: no other command runs the verifier, and every CLI call
-    # is a fresh interpreter that would otherwise compile it
     from . import verify as verify_mod
 
     cells = {(a, b, c) for a, b, c, params, _ in _cells(args) if params is not None}

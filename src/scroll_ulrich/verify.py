@@ -254,8 +254,9 @@ def cohomology_failures(params: ScrollParams) -> Failures:
                 if (x == -1 or y == -1) and any(vec):
                     failures.append(("cohomology-vanishing-strip", div))
                 edge = min(max(z, lo), hi)  # z, or the wall next to an outer point
-                inner = vec if edge == z else h_scroll(params, DivisorClass(x, y, edge))
-                if min(vec) < 0 or (x >= 0 and h3 != 0) or any(u < v for u, v in zip(vec, inner)):
+                falls = edge != z and any(  # some h^i falls from the wall to this outer point
+                    u < v for u, v in zip(vec, h_scroll(params, DivisorClass(x, y, edge))))
+                if min(vec) < 0 or (x >= 0 and h3 != 0) or falls:
                     failures.append(("cohomology-degree-bounds", div))
     return failures
 

@@ -205,16 +205,95 @@ def _fresh_python(args, stdout=subprocess.PIPE, **env):
 def test_cli_import_loads_no_process_pool_or_dataclasses():
     # every CLI call pays for what `import scroll_ulrich.cli` loads; a process
     # pool would pull in the `concurrent` and `multiprocessing` packages,
-    # `dataclasses` pulls in `inspect` (with `ast`, `dis` and `tokenize`), and
-    # only `verify` runs the verifier and only `--format csv` needs `csv`
+    # `dataclasses` pulls in `inspect` (with `ast`, `dis` and `tokenize`), each
+    # command imports the layers beyond chow and cohomology that it runs, and
+    # only `--format csv` needs `csv`; `fractions` comes with `ulrich`
     code = (
         "import sys, scroll_ulrich.cli; "
         "print([m for m in ('concurrent', 'multiprocessing', 'dataclasses', 'inspect', "
-        "'scroll_ulrich.verify', 'csv') if m in sys.modules])"
+        "'scroll_ulrich.ulrich', 'scroll_ulrich.extensions', 'scroll_ulrich.tower', "
+        "'scroll_ulrich.verify', 'csv', 'fractions') if m in sys.modules])"
     )
     out = _fresh_python(["-c", code])
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+_EVERY_COMMAND = {"chow", "cohomology"}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    pytest.param(["cohom", "--params", "1,1,3", "--div", "1,1,1"], set(), id="cohom"),
+    pytest.param(["chow", "--params", "1,1,3", "--d1", "1,0,0", "--d2", "0,1,0"], set(),
+                 id="chow"),
+    pytest.param(["classify", "--a", "0", "--b", "0", "--c", "1"], {"ulrich"}, id="classify"),
+    pytest.param(["tower-report", "--a", "0", "--b", "1", "--c", "3", "--rmax", "2"],
+                 {"ulrich", "tower"}, id="tower-report"),
+    pytest.param(["ext-table", "--a", "0", "--b", "0", "--c", "2"],
+                 {"ulrich", "extensions"}, id="ext-table"),
+    pytest.param(["instanton", "--c", "1"], {"ulrich", "extensions"}, id="instanton"),
+    pytest.param(["verify", "--a", "0", "--b", "0", "--c", "1"],
+                 {"ulrich", "extensions", "tower", "verify"}, id="verify"),
+])
+def test_each_command_loads_only_the_layers_it_runs(argv, layers):
+    code = (
+        "import sys\n"
+        "from scroll_ulrich.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scroll_ulrich.')), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    out = _fresh_python(["-c", code])
+    assert out.returncode == EXIT_OK, out.stderr
+    assert out.stdout
+    expected = sorted(f"scroll_ulrich.{m}" for m in {"cli", *_EVERY_COMMAND, *layers})
+    assert out.stderr == f"{expected}\n"
+
+
+# `scroll_ulrich.__all__` as the package listed it when it imported every layer
+_PUBLIC_NAMES = [
+    "Codim2Class", "CohomologyVector", "DivisorClass", "InapplicableCaseError",
+    "InstantonTriple", "ModuliPrediction", "Rank2ExtensionRecord", "ScrollParams",
+    "TowerBundle", "UlrichLineBundleRecord", "VanishingHypothesisError", "base_swap", "chi",
+    "chi_closed_form", "chi_endo_tower", "chi_endomorphisms_rank2", "chi_tower_vs_line",
+    "classify_ulrich_line_bundles", "enumerate_cases", "ext1_dim", "extension_chern",
+    "h2_endomorphisms_rank2", "h_hirzebruch", "h_p1", "h_scroll", "instanton_admissible",
+    "is_special_rank2", "is_ulrich_line", "iter_tower", "moduli_dim_gap", "moduli_dim_tower",
+    "moduli_prediction", "mul_div_c2", "mul_div_div", "named_line_bundles",
+    "numerical_invariants", "pullback_obstruction_report", "serre_dual", "slope",
+    "tower_h1_recursion", "triple", "twisted_chern", "ulrich_dual",
+]
+
+
+def test_package_imports_a_layer_when_one_of_its_names_is_first_used():
+    code = (
+        "import json, sys\n"
+        "import scroll_ulrich as pkg\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scroll_ulrich.'))\n"
+        "listed = sorted(set(pkg.__all__) - set(dir(pkg)))\n"
+        "star = {}\n"
+        "exec('from scroll_ulrich import *', star)\n"
+        "foreign = [n for n in pkg.__all__ if not star[n].__module__.startswith('scroll_ulrich.')\n"
+        "           or getattr(sys.modules[star[n].__module__], n) is not star[n]\n"
+        "           or getattr(pkg, n) is not star[n]]\n"
+        "try:\n"
+        "    pkg.no_such_name\n"
+        "    unknown = 'resolved'\n"
+        "except AttributeError as exc:\n"
+        "    unknown = str(exc)\n"
+        "print(json.dumps({'loaded': loaded, 'not_in_dir': listed, 'all': pkg.__all__,\n"
+        "                  'star': sorted(set(star) - {'__builtins__'}), 'foreign': foreign,\n"
+        "                  'unknown': unknown}))\n"
+    )
+    out = _fresh_python(["-c", code])
+    assert out.returncode == 0, out.stderr
+    facts = json.loads(out.stdout)
+    assert facts["loaded"] == []
+    assert facts["not_in_dir"] == []
+    assert facts["all"] == _PUBLIC_NAMES
+    assert facts["star"] == _PUBLIC_NAMES
+    assert facts["foreign"] == []
+    assert facts["unknown"] == "module 'scroll_ulrich' has no attribute 'no_such_name'"
 
 
 @pytest.mark.parametrize("argv", [
