@@ -21,8 +21,6 @@ _LAYERS = {
         "CohomologyVector",
         "chi",
         "chi_closed_form",
-        "h_hirzebruch",
-        "h_p1",
         "h_scroll",
         "serre_dual",
     ),

@@ -1,4 +1,4 @@
-"""Cohomology of line bundles on the scroll, on F_a and on P^1.
+"""Cohomology of line bundles on the scroll.
 
 Everything reduces to P^1 through the two projective-bundle projections.
 For x >= 0 the pushforward of O(x, y, z) along the scroll map is the direct
@@ -9,12 +9,13 @@ Negative first coefficients are handled by Serre duality at the outermost
 layer: each dualization lands the relevant coefficient in the non-negative
 branch, so the recursion terminates after at most two steps.
 
-The alternating sum of any h-vector equals the closed polynomial
+The alternating sum of any h-vector equals half the closed polynomial
 
-    chi(x, y, z) = (x+1)(y+1)(z+1) - b(y+1)x(x+1)/2 - a(x+1)y(y+1)/2
+    2 chi(x, y, z) = (x+1)(y+1)(2z + 2 - bx - ay)      (twice_chi)
 
 for *all* integer (x, y, z) (Riemann-Roch; Fulton, Intersection Theory,
-Cor. 15.2.1).  `chi` evaluates this polynomial and never asks h_scroll, so
+Cor. 15.2.1).  twice_chi is the one spelling of this polynomial: the sieve of
+ulrich.is_ulrich_line reads it, and `chi` halves it and never asks h_scroll, so
 the O(r^2) chi sums of the tower report cost no cohomology.  Against the
 h-vectors it is the strongest correctness oracle for the sign branches:
 `verify` compares the two on every line of its cohomology box, and the
@@ -36,7 +37,8 @@ The strips x = -1 and y = -1 are answered before the scroll layer: each is a
 relative O(-1) for one of the two scroll structures (X is also a P^1-bundle
 over F_b, with x and y swapped), so all its cohomology vanishes and h_scroll
 returns ZERO_COHOMOLOGY.  Serre duality maps x <= -2 to x >= 0 and keeps y
-off -1, so the recursion never reaches a strip either.
+off -1, so the recursion never reaches a strip either, and the surface
+layer never sees alpha = -1.
 """
 
 from __future__ import annotations
@@ -57,9 +59,6 @@ class CohomologyVector(NamedTuple):
     def as_tuple(self) -> tuple[int, int, int, int]:
         return tuple(self)
 
-    def is_zero(self) -> bool:
-        return self == ZERO_COHOMOLOGY
-
     def reversed(self) -> "CohomologyVector":
         """(h3, h2, h1, h0); the Serre-dual ordering."""
         return CohomologyVector(self.h3, self.h2, self.h1, self.h0)
@@ -70,11 +69,6 @@ class CohomologyVector(NamedTuple):
 
 
 ZERO_COHOMOLOGY = CohomologyVector(0, 0, 0, 0)
-
-
-def h_p1(d: int) -> CohomologyVector:
-    """h^i(P^1, O(d)): h0 = max(d+1, 0), h1 = max(-d-1, 0)."""
-    return CohomologyVector(max(d + 1, 0), max(-d - 1, 0), 0, 0)
 
 
 def _clipped_series(c: int, step: int, n: int) -> int:
@@ -90,23 +84,14 @@ def _clipped_series(c: int, step: int, n: int) -> int:
 
 
 def _h_surface(a: int, alpha: int, beta: int) -> tuple[int, int, int]:
-    if a < 0:
-        raise ValueError(f"Hirzebruch index must be non-negative, got a = {a}")
+    """h^i(F_a, O(alpha, beta)) in the (section, fibre) basis, for alpha != -1."""
     if alpha >= 0:
         # pushforward to P^1: the sum of O(beta - ka) for 0 <= k <= alpha
         n = alpha + 1
         return (_clipped_series(beta + 1, a, n), _clipped_series(alpha * a - beta - 1, a, n), 0)
-    if alpha == -1:
-        return (0, 0, 0)
     # Serre duality with K_{F_a} = (-2, -a-2); lands in the branch alpha >= 0
     d0, d1, d2 = _h_surface(a, -2 - alpha, -a - 2 - beta)
     return (d2, d1, d0)
-
-
-def h_hirzebruch(a: int, alpha: int, beta: int) -> CohomologyVector:
-    """h^i(F_a, O(alpha, beta)) in the (section, fibre) basis."""
-    h0, h1, h2 = _h_surface(a, alpha, beta)
-    return CohomologyVector(h0, h1, h2, 0)
 
 
 def _h_scroll(a: int, b: int, x: int, y: int, z: int) -> CohomologyVector:
@@ -131,19 +116,20 @@ def h_scroll(params: ScrollParams, div: DivisorClass) -> CohomologyVector:
     return _h_scroll(params.a, params.b, x, y, div.z)
 
 
-def chi(params: ScrollParams, div: DivisorClass) -> int:
-    """Euler characteristic h0 - h1 + h2 - h3, by the Riemann-Roch polynomial.
+def twice_chi(a: int, b: int, x: int, y: int, z: int) -> int:
+    """2 chi(O(x, y, z)) on the scroll (a, b, *), by factored Riemann-Roch."""
+    return (x + 1) * (y + 1) * (2 * z + 2 - b * x - a * y)
 
-    Never asks h_scroll; `verify` certifies this polynomial against every h^i
+
+def chi(params: ScrollParams, div: DivisorClass) -> int:
+    """Euler characteristic h0 - h1 + h2 - h3: half of twice_chi, which is even.
+
+    Never asks h_scroll; `verify` certifies the polynomial against every h^i
     of the cohomology box (cohomology-chi-oracle).
     """
     a, b, _ = params
     x, y, z = div
-    return (
-        (x + 1) * (y + 1) * (z + 1)
-        - b * (y + 1) * (x * (x + 1) // 2)
-        - a * (x + 1) * (y * (y + 1) // 2)
-    )
+    return twice_chi(a, b, x, y, z) // 2
 
 
 def chi_closed_form(params: ScrollParams, div: DivisorClass) -> int:

@@ -10,7 +10,7 @@ for j = 1, 2, 3.  Two involutions act on the set of Ulrich line bundles:
 The classification scans 0 <= x, y <= 2 and a finite z-window.  The x, y
 bound is proved: Riemann-Roch factors as
 
-    2 chi(x, y, z) = (x+1)(y+1)(2z + 2 - bx - ay)      (twice_chi),
+    2 chi(x, y, z) = (x+1)(y+1)(2z + 2 - bx - ay)      (cohomology.twice_chi),
 
 so chi(D - jh) = 0 for j = 1, 2, 3 forces each j to be a root of one of the
 three factors.  Each factor has at most one root in j (the last because
@@ -20,8 +20,9 @@ last factor for some j, inside the window.  The predicate uses the same
 vanishing as a sieve: a class with some chi(D - jh) != 0 is rejected from
 twice_chi alone, so h_scroll sees only the classes where all three vanish,
 a number that does not depend on c.  This module only scans; the
-certificate of both bounds, and of twice_chi against chi_closed_form, is
-`ulrich-scan-bounds` in verify.py.
+certificate of both bounds is `ulrich-scan-bounds` in verify.py, and
+`cohomology-chi-oracle` there certifies twice_chi against every h^i that the
+sieve stands in for.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .chow import Codim2Class, DivisorClass, ScrollParams, triple
-from .cohomology import ZERO_COHOMOLOGY, h_scroll
+from .cohomology import ZERO_COHOMOLOGY, h_scroll, twice_chi
 
 DUAL_TAG = {
     "N": "N_dual",
@@ -60,11 +61,6 @@ class UlrichLineBundleRecord(NamedTuple):
     divisor: DivisorClass
     tag: str
     special_pairing: DivisorClass  # its Ulrich dual
-
-
-def twice_chi(a: int, b: int, x: int, y: int, z: int) -> int:
-    """2 chi(O(x, y, z)) on the scroll (a, b, *), by factored Riemann-Roch."""
-    return (x + 1) * (y + 1) * (2 * z + 2 - b * x - a * y)
 
 
 def is_ulrich_line(params: ScrollParams, div: DivisorClass) -> bool:

@@ -18,9 +18,8 @@ that `classify` and `ext-table` print (the dual of each classified bundle,
 the fields of the enumerate_cases records, by their two tags) and compare
 them with closed forms; a missing record fails its row.  These live only
 here: the O(1) certificate that the classification scan misses no Ulrich
-bundle, both its x, y bound and its z-window, and that the Riemann-Roch
-sieve of the predicate is exact (`ulrich-scan-bounds`, with the one copy of
-the L_j root), the involution transport of the extension records
+bundle, both its x, y bound and its z-window (`ulrich-scan-bounds`, with the
+one copy of the L_j root), the involution transport of the extension records
 (`ext-involution-orbits`), the closed forms of the rank-two invariants and
 of the moduli dimensions, and the closed forms of the extension tower with
 their certificate (`tower-closed-forms`, with the one copy of the h^1
@@ -62,7 +61,6 @@ from .ulrich import (
     is_ulrich_line,
     named_line_bundles,
     slope,
-    twice_chi,
     ulrich_dual,
     z_window,
 )
@@ -127,20 +125,15 @@ def verify_scan_bounds(params: ScrollParams) -> bool:
     j, so 0 <= x, y <= 2 and z is the root of L_j for some j.  The window:
     2 root = 2jc - 2 + b(x - j) + a(y - j), and with c >= a + b + 1 every
     root lies in [0, 3c - 1], strictly inside z_window = [-3c - a - b - 4,
-    4c + a + b + 2].  Checked here: the library's twice_chi, the sieve of
-    is_ulrich_line, against chi_closed_form at 4 points per variable (both
-    have degree at most 3 in each, so this proves the sieve exact), the nonzero
-    step, each of the 27 roots for 0 <= x, y <= 2 strictly inside z_window,
-    and is_ulrich_line rejecting the L_j root of each border row for
-    j = 1, 2, 3: 36 calls, each decided by the sieve, since the border rows
-    have some j with chi(D - jh) != 0.
+    4c + a + b + 2].  Checked here: the nonzero step, each of the 27 roots for
+    0 <= x, y <= 2 strictly inside z_window, and is_ulrich_line rejecting the
+    L_j root of each border row for j = 1, 2, 3: 36 calls, each decided by the
+    sieve, since the border rows have some j with chi(D - jh) != 0.  The sieve
+    reads twice_chi, the one Riemann-Roch polynomial, and chi_closed_form is
+    half of it; cohomology-chi-oracle compares that with every h^i on the lines
+    |x|, |y| <= 3 at every z, which covers each D - jh the scan's sieve reads.
     """
     a, b, c = params.a, params.b, params.c
-    grid = range(4)
-    factored = all(
-        2 * chi_closed_form(params, DivisorClass(x, y, z)) == twice_chi(a, b, x, y, z)
-        for x in grid for y in grid for z in grid
-    )
     window = z_window(params)
     inside = all(
         window.start < _l_root(params, x, y, j) < window.stop - 1
@@ -148,7 +141,7 @@ def verify_scan_bounds(params: ScrollParams) -> bool:
     )
     border = [(x, y) for x in (-1, 3) for y in range(3)]
     border += [(x, y) for y in (-1, 3) for x in range(3)]
-    return factored and a + b - 2 * c != 0 and inside and not any(
+    return a + b - 2 * c != 0 and inside and not any(
         is_ulrich_line(params, DivisorClass(x, y, _l_root(params, x, y, j)))
         for x, y in border for j in (1, 2, 3)
     )
@@ -339,7 +332,7 @@ def _ext_checks(col: _Collector, params: ScrollParams, rec: ByTags, swapped_reco
         col.equal("ext-L-LU", e("L", "L_dual"), 3 * (2 * c - b - 1))
         col.equal("ext-LU-L", e("L_dual", "L"), 2 * c - b + 1)
         col.equal("ext-N-L", e("N", "L"), 0)
-        col.equal("ext-L-N", e("L", "N"), 2 * c - b - 2 if c > b + 1 else c - 1)
+        col.equal("ext-L-N", e("L", "N"), 2 * c - b - 2)
         col.equal("ext-NU-L", e("N_dual", "L"), 2 * c - b + 2)
     if a == 0 and b == 0:
         col.equal("ext-L-M", e("L", "M"), 8 * c - 4)

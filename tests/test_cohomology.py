@@ -27,8 +27,6 @@ from scroll_ulrich import (
     ScrollParams,
     chi,
     chi_closed_form,
-    h_hirzebruch,
-    h_p1,
     h_scroll,
     serre_dual,
 )
@@ -124,20 +122,23 @@ divisors = st.builds(
 )
 
 
+# By the projection formula, O(0, alpha, beta) on X has the cohomology of
+# O(alpha, beta) on F_a, and O(0, 0, d) that of O(d) on P^1.
+
 def test_p1_values():
-    assert h_p1(3).as_tuple() == (4, 0, 0, 0)
-    assert h_p1(-1).as_tuple() == (0, 0, 0, 0)
-    assert h_p1(-4).as_tuple() == (0, 3, 0, 0)
+    for q in PARAMS:
+        assert h_scroll(q, DivisorClass(0, 0, 3)).as_tuple() == (4, 0, 0, 0)
+        assert h_scroll(q, DivisorClass(0, 0, -1)).as_tuple() == (0, 0, 0, 0)
+        assert h_scroll(q, DivisorClass(0, 0, -4)).as_tuple() == (0, 3, 0, 0)
 
 
 def test_hirzebruch_values():
-    # sum h_p1(1) + h_p1(0) + h_p1(-1); lattice count agrees
-    assert h_hirzebruch(1, 2, 1).as_tuple() == (3, 0, 0, 0)
-    assert h_hirzebruch(2, -1, 17).as_tuple() == (0, 0, 0, 0)
-    assert h_hirzebruch(0, 2, 0).as_tuple() == (3, 0, 0, 0)
-    assert h_hirzebruch(1, 2, 1).h0 == sum(max(1 - k + 1, 0) for k in range(3))
-    with pytest.raises(ValueError):
-        h_hirzebruch(-1, 0, 0)
+    # h^0(P^1, O(1)) + h^0(O(0)) + h^0(O(-1)); lattice count agrees
+    p = ScrollParams(1, 0, 2)
+    assert h_scroll(p, DivisorClass(0, 2, 1)).as_tuple() == (3, 0, 0, 0)
+    assert h_scroll(ScrollParams(2, 0, 3), DivisorClass(0, -1, 17)).as_tuple() == (0, 0, 0, 0)
+    assert h_scroll(ScrollParams(0, 0, 1), DivisorClass(0, 2, 0)).as_tuple() == (3, 0, 0, 0)
+    assert h_scroll(p, DivisorClass(0, 2, 1)).h0 == sum(max(1 - k + 1, 0) for k in range(3))
 
 
 def test_hirzebruch_section_count_matches_lattice():
@@ -145,9 +146,8 @@ def test_hirzebruch_section_count_matches_lattice():
     p = ScrollParams(1, 0, 2)
     for alpha in range(4):
         for beta in range(-5, 6):
-            got = h_hirzebruch(1, alpha, beta).h0
-            want = h0_lattice(p, DivisorClass(0, alpha, beta))
-            assert got == want
+            d = DivisorClass(0, alpha, beta)
+            assert h_scroll(p, d).h0 == h0_lattice(p, d)
 
 
 def test_scroll_values():
@@ -157,7 +157,7 @@ def test_scroll_values():
     assert chi(p, DivisorClass(0, 2, -3)) == -6
     for q in PARAMS:
         assert h_scroll(q, DivisorClass(0, 0, 0)).as_tuple() == (1, 0, 0, 0)
-        assert h_scroll(q, DivisorClass(-1, 5, 9)).is_zero()
+        assert h_scroll(q, DivisorClass(-1, 5, 9)) == ZERO_COHOMOLOGY
         assert chi(q, DivisorClass(-1, 5, 9)) == 0
 
 
@@ -210,7 +210,7 @@ def test_closed_form_against_pushforward_loop(a, b, x, y, z):
     # every sign branch of both layers, a = 0 (step-0 series) included
     p = ScrollParams(a, b, a + b + 1)
     assert h_scroll(p, DivisorClass(x, y, z)).as_tuple() == h_pushforward(a, b, x, y, z)
-    assert h_hirzebruch(a, y, z).as_tuple() == h_pushforward(a, 0, 0, y, z)
+    assert h_scroll(p, DivisorClass(0, y, z)).as_tuple() == h_pushforward(a, 0, 0, y, z)
 
 
 @given(st.integers(0, 5), st.integers(0, 5), divisors)
@@ -255,9 +255,9 @@ def test_degree_bounds(p, d):
     if d.x >= 0:
         assert vec.h3 == 0
     if d.x == -1:
-        assert vec.is_zero()
+        assert vec == ZERO_COHOMOLOGY
     if d.x >= 0 and d.y == -1:
-        assert vec.is_zero()
+        assert vec == ZERO_COHOMOLOGY
 
 
 def test_h_scroll_keeps_no_state(monkeypatch):
@@ -356,4 +356,4 @@ def test_vector_helpers():
     v = CohomologyVector(1, 2, 3, 4)
     assert v.reversed().as_tuple() == (4, 3, 2, 1)
     assert v.chi == 1 - 2 + 3 - 4
-    assert not v.is_zero()
+    assert v != ZERO_COHOMOLOGY

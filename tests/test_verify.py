@@ -104,9 +104,12 @@ def test_ulrich_at_x_minus_one_is_caught(monkeypatch):
 
 
 def test_broken_factorization_is_caught(monkeypatch):
-    original = verify.chi_closed_form
-    monkeypatch.setattr(verify, "chi_closed_form", lambda p, d: original(p, d) + (d.x == 2))
-    row = _status((0, 1, 3), "ulrich-scan-bounds")
+    # a and b exchanged in the last factor of the one Riemann-Roch polynomial
+    _patch_everywhere(
+        monkeypatch, cohomology.twice_chi,
+        lambda a, b, x, y, z: (x + 1) * (y + 1) * (2 * z + 2 - a * x - b * y),
+    )
+    row = _status((0, 1, 3), "cohomology-chi-oracle")
     assert not row.ok
 
 
@@ -120,12 +123,12 @@ def test_sieve_with_2z_off_by_one_is_caught(monkeypatch, capsys):
 
 
 def test_factored_riemann_roch_with_ay_sign_flipped_is_caught(monkeypatch, capsys):
-    # the library's form, read by the sieve and by the certificate alike
+    # the library's one form, read by the sieve and by chi alike
     _patch_everywhere(
-        monkeypatch, ulrich.twice_chi,
+        monkeypatch, cohomology.twice_chi,
         lambda a, b, x, y, z: (x + 1) * (y + 1) * (2 * z + 2 - b * x + a * y),
     )
-    assert "ulrich-scan-bounds" in _cli_failures((1, 2, 4), capsys)
+    assert "cohomology-chi-oracle" in _cli_failures((1, 2, 4), capsys)
 
 
 @pytest.mark.parametrize("c", [3, 300])
@@ -309,7 +312,7 @@ def test_named_n_z_plus_one_is_caught(monkeypatch, capsys):
 def test_chi_closed_form_plus_one_is_caught(monkeypatch, capsys):
     original = cohomology.chi_closed_form
     _patch_everywhere(monkeypatch, original, lambda p, d: original(p, d) + 1)
-    assert {"cohomology-chi-oracle", "ulrich-scan-bounds"} <= _cli_failures((0, 1, 3), capsys)
+    assert "cohomology-chi-oracle" in _cli_failures((0, 1, 3), capsys)
 
 
 def test_riemann_roch_plus_one_at_x_minus_two_is_caught(monkeypatch, capsys):
