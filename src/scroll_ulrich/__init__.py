@@ -29,12 +29,10 @@ _LAYERS = {
         "InstantonTriple",
         "ModuliPrediction",
         "Rank2ExtensionRecord",
-        "VanishingHypothesisError",
         "chi_endomorphisms_rank2",
         "enumerate_cases",
         "ext1_dim",
         "extension_chern",
-        "h2_endomorphisms_rank2",
         "instanton_admissible",
         "moduli_prediction",
         "twisted_chern",

@@ -10,7 +10,10 @@ End(F) is additive over the induced filtration,
 
 The h^2 of End(F) is *not* Chern-determined; it equals h^2(quot - sub) only
 under the vanishing h^2(sub - quot) = 0 that the long-exact-sequence
-argument needs, and is refused (typed error) outside that hypothesis.
+argument needs, and is refused outside that hypothesis: the record stores
+None there.  enumerate_cases evaluates the cohomology of each difference
+class sub - quot once, and each record reads ext^1 and h^2(End F) off the
+vectors of sub - quot and quot - sub.
 
 Unordered pairs are numbered 1..15 and grouped into orbits under the two
 involutions (Ulrich dual, base swap).  The orbits are derived at import from
@@ -26,7 +29,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .chow import Codim2Class, DivisorClass, ScrollParams, mul_div_div
-from .cohomology import chi, h_scroll
+from .cohomology import CohomologyVector, chi, h_scroll
 from .ulrich import (
     DUAL_TAG,
     SWAP_TAG,
@@ -36,10 +39,6 @@ from .ulrich import (
     named_line_bundles,
     pullback_obstruction_report,
 )
-
-
-class VanishingHypothesisError(ValueError):
-    """h^2(sub - quot) != 0: the long-exact-sequence derivation does not apply."""
 
 
 class InapplicableCaseError(ValueError):
@@ -152,43 +151,30 @@ def chi_endomorphisms_rank2(
     return 2 + chi(params, sub - quot) + chi(params, quot - sub)
 
 
-def h2_endomorphisms_rank2(
-    params: ScrollParams, sub: DivisorClass, quot: DivisorClass
-) -> int:
-    """h^2(F (x) F^dual) = h^2(quot - sub), valid only if h^2(sub - quot) = 0."""
-    blocking = h_scroll(params, sub - quot).h2
-    if blocking != 0:
-        raise VanishingHypothesisError(
-            f"h^2(sub - quot) = {blocking} != 0 for sub={sub.as_tuple()}, "
-            f"quot={quot.as_tuple()} at {params}"
-        )
-    return h_scroll(params, quot - sub).h2
-
-
 def build_extension_record(
     params: ScrollParams,
     sub: DivisorClass,
     quot: DivisorClass,
     sub_tag: str,
     quot_tag: str,
+    sub_minus_quot: CohomologyVector,
+    quot_minus_sub: CohomologyVector,
 ) -> Rank2ExtensionRecord:
+    """The record of (sub, quot); the last two are h_scroll of sub - quot and quot - sub."""
     c1, c2 = extension_chern(params, sub, quot)
     c1_tw, c2_tw = twisted_chern(params, c1, c2)
-    try:
-        h2_endo = h2_endomorphisms_rank2(params, sub, quot)
-    except VanishingHypothesisError:
-        h2_endo = None
     return Rank2ExtensionRecord(
         sub=sub,
         quotient=quot,
         sub_tag=sub_tag,
         quot_tag=quot_tag,
         case_id=CASE_OF_PAIR[frozenset({sub_tag, quot_tag})],
-        ext_dim=ext1_dim(params, quot, sub),
+        ext_dim=sub_minus_quot.h1,  # ext^1(quot, sub) = h^1(sub - quot)
         c1=c1,
         c2=c2,
         chi_endo=chi_endomorphisms_rank2(params, sub, quot),
-        h2_endo=h2_endo,
+        # h^2(End F) = h^2(quot - sub), where h^2(sub - quot) vanishes
+        h2_endo=quot_minus_sub.h2 if sub_minus_quot.h2 == 0 else None,
         special=is_special_rank2(params, c1),
         c1_twisted=c1_tw,
         c2_twisted=c2_tw,
@@ -209,11 +195,16 @@ def enumerate_cases(
     along both involutions.
     """
     named = [r for r in bundles if r.tag != "other"]
+    pairs = [(s, q) for s in named for q in named if s.divisor != q.divisor]
+    # h_scroll of each difference class once: (s, q) and (q, s) read the same
+    # two vectors, and two pairs may differ by the same class
+    vectors = {d: h_scroll(params, d) for d in {s.divisor - q.divisor for s, q in pairs}}
     records = [
-        build_extension_record(params, s.divisor, q.divisor, s.tag, q.tag)
-        for s in named
-        for q in named
-        if s.divisor != q.divisor
+        build_extension_record(
+            params, s.divisor, q.divisor, s.tag, q.tag,
+            vectors[s.divisor - q.divisor], vectors[q.divisor - s.divisor],
+        )
+        for s, q in pairs
     ]
     records.sort(key=lambda r: (r.case_id, r.sub, r.quotient))
     return records

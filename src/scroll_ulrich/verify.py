@@ -229,26 +229,40 @@ def cohomology_failures(params: ScrollParams) -> Failures:
     image is affine in z, as chi_closed_form is: an equality at lo - 1 and lo
     (hi and hi + 1) holds on the whole ray, and so does h^i >= 0 where h^i does
     not decrease outward, which the degree-bounds row checks at each outer point.
+
+    Each class is evaluated once: a table local to this call keeps the vector
+    of every class the sweep has asked for, keyed by the class, so a box point
+    that returns as another point's Serre image (looked up by what serre_dual
+    returns) or as its line's wall is read from the table.  The table is
+    dropped when the call returns.
     """
     a, b = params.a, params.b
     reach = 5 if (a, b) in _REPRESENTATIVE_FAMILIES else 3
+    vectors = {}
+
+    def h(div: DivisorClass):
+        vec = vectors.get(div)
+        if vec is None:
+            vec = vectors[div] = h_scroll(params, div)
+        return vec
+
     failures = []
     for x in range(-reach, reach + 1):
         for y in range(-reach, reach + 1):
             lo, hi = _walls(a, b, x, y)
             for z in range(lo - 1, hi + 2):
                 div = DivisorClass(x, y, z)
-                vec = h_scroll(params, div)
+                vec = h(div)
                 h0, h1, h2, h3 = vec
                 if h0 - h1 + h2 - h3 != chi_closed_form(params, div):
                     failures.append(("cohomology-chi-oracle", div))
-                if (h3, h2, h1, h0) != h_scroll(params, serre_dual(params, div)):
+                if (h3, h2, h1, h0) != h(serre_dual(params, div)):
                     failures.append(("cohomology-serre-duality", div))
                 if (x == -1 or y == -1) and any(vec):
                     failures.append(("cohomology-vanishing-strip", div))
                 edge = min(max(z, lo), hi)  # z, or the wall next to an outer point
                 falls = edge != z and any(  # some h^i falls from the wall to this outer point
-                    u < v for u, v in zip(vec, h_scroll(params, DivisorClass(x, y, edge))))
+                    u < v for u, v in zip(vec, h(DivisorClass(x, y, edge))))
                 if min(vec) < 0 or (x >= 0 and h3 != 0) or falls:
                     failures.append(("cohomology-degree-bounds", div))
     return failures

@@ -186,6 +186,20 @@ def test_each_column_is_swept_once(monkeypatch, capsys):
     assert calls == [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 3)]
 
 
+def test_cohomology_sweep_evaluates_each_class_once(monkeypatch):
+    # a box point comes back as another point's Serre image and as its line's wall
+    calls = []
+    original = verify.h_scroll
+
+    def counted(params, div):
+        calls.append(div)
+        return original(params, div)
+
+    monkeypatch.setattr(verify, "h_scroll", counted)
+    assert verify.cohomology_failures(ScrollParams(2, 3, 6)) == []
+    assert len(calls) == len(set(calls)) == 2154
+
+
 @pytest.mark.parametrize("c", [3, 300])
 def test_cohomology_sweep_is_constant_size(monkeypatch, c):
     calls = []
@@ -326,10 +340,31 @@ def test_riemann_roch_plus_one_at_x_minus_two_is_caught(monkeypatch, capsys):
     )
 
 
+def _records_reading(monkeypatch, pick):
+    """enumerate_cases with each record built from the vectors `pick(sub - quot, quot - sub)`."""
+    original = extensions.build_extension_record
+
+    def miswired(params, sub, quot, sub_tag, quot_tag, sub_minus_quot, quot_minus_sub):
+        return original(params, sub, quot, sub_tag, quot_tag,
+                        *pick(sub_minus_quot, quot_minus_sub))
+
+    monkeypatch.setattr(extensions, "build_extension_record", miswired)
+
+
 def test_ext1_dim_reversed_is_caught(monkeypatch, capsys):
-    original = extensions.ext1_dim
-    _patch_everywhere(monkeypatch, original, lambda p, u, v: original(p, v, u))
+    # the records read ext^1 off the reversed difference class quot - sub
+    _records_reading(monkeypatch, lambda forward, backward: (backward, forward))
     assert {"ext-N-NU", "ext-NU-N"} <= _cli_failures((1, 2, 4), capsys)
+
+
+def test_h2_endo_read_off_sub_minus_quot_is_caught(monkeypatch, capsys):
+    # h^2(End F) read off the vector of sub - quot, whose h^2 the guard just found zero
+    _records_reading(monkeypatch, lambda forward, backward: (forward, forward))
+    assert main(["verify", "--a", "0", "--b", "2..3"]) == EXIT_VERIFY_FAILED
+    checks = next(t for t in json.loads(capsys.readouterr().out)["tables"] if t["name"] == "checks")
+    failing = {tuple(row[:3]) for row in checks["rows"]
+               if row[3] == "endo-case1-h2" and row[4] == "FAIL"}
+    assert failing == {(0, b, c) for b in (2, 3) for c in range(b + 1, b + 7)}
 
 
 def test_serre_dual_plus_f_is_caught(monkeypatch, capsys):
