@@ -1,13 +1,13 @@
 """Cohomology of line bundles on the scroll.
 
-Everything reduces to P^1 through the two projective-bundle projections.
-For x >= 0 the pushforward of O(x, y, z) along the scroll map is the direct
-sum of the O_{F_a}(y, z - jb) for 0 <= j <= x, and higher direct images
-vanish, so the threefold cohomology lives in degrees 0..2 and is the sum of
-the surface values.  The surface layer repeats the same argument over P^1.
-Negative first coefficients are handled by Serre duality at the outermost
-layer: each dualization lands the relevant coefficient in the non-negative
-branch, so the recursion terminates after at most two steps.
+Everything reduces to P^1 through the two projective-bundle projections,
+and each class is normalised once.  A class with x <= -2 is replaced by its
+Serre dual K_X - D, which has x >= 0, and the vector is read backwards.  For
+x >= 0 the pushforward of O(x, y, z) along the scroll map is the direct sum
+of the O_{F_a}(y, z - jb) for 0 <= j <= x, and higher direct images vanish,
+so the cohomology lives in degrees 0..2 and is the sum of the surface values.
+Every term has alpha = y, so the F_a step is taken once per class: for
+y <= -2 each term is read through its Serre dual on F_a, which has alpha >= 0.
 
 The alternating sum of any h-vector equals half the closed polynomial
 
@@ -27,18 +27,19 @@ The surface layer is closed-form.  For alpha >= 0 the P^1 sums
     h1 = sum_{k=0}^{alpha} max(k a - beta - 1, 0)
 
 are clipped arithmetic series (the second with k reversed), so each is
-O(1), also for a = 0.  The scroll layer still sums over 0 <= j <= x: each
-term depends on floor((z - j b + 1) / a), so the sum is a quasi-polynomial
-in j rather than a polynomial.  One evaluation costs O(|x|) after Serre
-normalisation, independent of y and z.
+O(1), also for a = 0.  For alpha <= -2 Serre duality with K_{F_a} =
+(-2, -a-2) gives h2 and h1 as the h0 and h1 of O(-2 - alpha, -a - 2 - beta).
+The scroll layer still sums over 0 <= j <= x: each term depends on
+floor((z - j b + 1) / a), so the sum is a quasi-polynomial in j rather than
+a polynomial.  One evaluation is one loop of x + 1 steps after
+normalisation, two series each, independent of y and z.
 
 Nothing is memoized: h_scroll is a pure function of (params, div).
 The strips x = -1 and y = -1 are answered before the scroll layer: each is a
 relative O(-1) for one of the two scroll structures (X is also a P^1-bundle
 over F_b, with x and y swapped), so all its cohomology vanishes and h_scroll
-returns ZERO_COHOMOLOGY.  Serre duality maps x <= -2 to x >= 0 and keeps y
-off -1, so the recursion never reaches a strip either, and the surface
-layer never sees alpha = -1.
+returns ZERO_COHOMOLOGY.  Both Serre steps keep the class off the strips,
+so the surface layer never sees alpha = -1.
 """
 
 from __future__ import annotations
@@ -83,29 +84,27 @@ def _clipped_series(c: int, step: int, n: int) -> int:
     return m * c - step * (m * (m - 1) // 2)
 
 
-def _h_surface(a: int, alpha: int, beta: int) -> tuple[int, int, int]:
-    """h^i(F_a, O(alpha, beta)) in the (section, fibre) basis, for alpha != -1."""
-    if alpha >= 0:
-        # pushforward to P^1: the sum of O(beta - ka) for 0 <= k <= alpha
-        n = alpha + 1
-        return (_clipped_series(beta + 1, a, n), _clipped_series(alpha * a - beta - 1, a, n), 0)
-    # Serre duality with K_{F_a} = (-2, -a-2); lands in the branch alpha >= 0
-    d0, d1, d2 = _h_surface(a, -2 - alpha, -a - 2 - beta)
-    return (d2, d1, d0)
-
-
 def _h_scroll(a: int, b: int, x: int, y: int, z: int) -> CohomologyVector:
     """Any class off the strips x = -1 and y = -1."""
-    if x >= 0:
-        h0 = h1 = h2 = 0
-        for j in range(x + 1):
-            s0, s1, s2 = _h_surface(a, y, z - j * b)
-            h0 += s0
-            h1 += s1
-            h2 += s2
-        return CohomologyVector(h0, h1, h2, 0)
-    # Serre duality with K_X = (-2, -2, -(a+b+2)); x <= -2, so the dual has x >= 0
-    return _h_scroll(a, b, -2 - x, -2 - y, -(a + b + 2) - z).reversed()
+    dual = x < 0
+    if dual:
+        # Serre duality with K_X = (-2, -2, -(a+b+2)); x <= -2, so the dual has x >= 0
+        x, y, z = -2 - x, -2 - y, -(a + b + 2) - z
+    # the terms O(y, z - jb), 0 <= j <= x, all have alpha = y, so one branch serves them
+    if y >= 0:
+        alpha, beta0, step = y, z, -b
+    else:
+        # Serre duality on F_a, K = (-2, -a-2): a term's h^2 and h^1 are the h^0
+        # and h^1 of O(-2 - y, -a - 2 - z + jb), so `top` collects h^2 here
+        alpha, beta0, step = -2 - y, -a - 2 - z, b
+    n = alpha + 1
+    top = h1 = 0
+    for j in range(x + 1):
+        beta = beta0 + j * step
+        top += _clipped_series(beta + 1, a, n)
+        h1 += _clipped_series(alpha * a - beta - 1, a, n)
+    h = (top, h1, 0) if y >= 0 else (0, h1, top)
+    return CohomologyVector(0, *h[::-1]) if dual else CohomologyVector(*h, 0)
 
 
 def h_scroll(params: ScrollParams, div: DivisorClass) -> CohomologyVector:

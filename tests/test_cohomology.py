@@ -260,17 +260,23 @@ def test_degree_bounds(p, d):
         assert vec == ZERO_COHOMOLOGY
 
 
-def test_h_scroll_keeps_no_state(monkeypatch):
-    # the same query costs the same surface evaluations every time: no memo
-    # answers a repeat
+def _count_calls(monkeypatch, name):
+    """Patch the cohomology global `name` with a wrapper; return the list of its calls."""
     calls = []
-    surface = cohmod._h_surface
+    original = getattr(cohmod, name)
 
     def counted(*args):
         calls.append(args)
-        return surface(*args)
+        return original(*args)
 
-    monkeypatch.setattr(cohmod, "_h_surface", counted)
+    monkeypatch.setattr(cohmod, name, counted)
+    return calls
+
+
+def test_h_scroll_keeps_no_state(monkeypatch):
+    # the same query costs the same series evaluations every time: no memo
+    # answers a repeat
+    calls = _count_calls(monkeypatch, "_clipped_series")
     p, d = ScrollParams(1, 2, 4), DivisorClass(3, -4, 5)
     counts = []
     for _ in range(2):
@@ -278,6 +284,19 @@ def test_h_scroll_keeps_no_state(monkeypatch):
         h_scroll(p, d)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("x, y, z", [(4, 2, 5), (3, -4, 5), (-7, 3, 1), (-5, -6, 1)])
+def test_each_class_is_normalised_once(monkeypatch, x, y, z):
+    # one class of each branch (x >= 0 or x <= -2, crossed with y >= 0 or
+    # y <= -2): the scroll layer is entered once, so a class with x <= -2 is
+    # dualised once, and each term of the normalised j-loop costs two series
+    entries = _count_calls(monkeypatch, "_h_scroll")
+    series = _count_calls(monkeypatch, "_clipped_series")
+    h_scroll(ScrollParams(1, 2, 4), DivisorClass(x, y, z))
+    x_normalised = x if x >= 0 else -2 - x
+    assert len(entries) == 1
+    assert len(series) == 2 * (x_normalised + 1)
 
 
 def test_strips_bypass_the_cache(monkeypatch):

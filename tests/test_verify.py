@@ -410,17 +410,23 @@ def test_h3_of_an_effective_class_is_caught(monkeypatch, capsys):
 
 
 def test_h_falling_past_the_upper_wall_is_caught(monkeypatch, capsys):
-    # h^0 and h^1 of the line (3, 3) both gain hi + 10**6 - z past its upper wall hi:
-    # chi, Serre duality and every swept value hold, only the outward slope is wrong
+    # h^0 and h^1 of the line (3, 3) both gain hi + 10**6 - z past its upper wall hi,
+    # and their Serre images K_X - D read the same defect reversed: chi, Serre
+    # duality and every swept value hold, only the outward slope is wrong
     original = cohomology._h_scroll
 
-    def mutant(a, b, x, y, z):
+    def mutated(a, b, x, y, z):
         vec = original(a, b, x, y, z)
         hi = 3 * b + 3 * a - 1
         if (x, y) != (3, 3) or z < hi:
             return vec
         t = hi + 10**6 - z
         return vec._replace(h0=vec.h0 + t, h1=vec.h1 + t)
+
+    def mutant(a, b, x, y, z):
+        if x < 0:
+            return mutated(a, b, -2 - x, -2 - y, -(a + b + 2) - z).reversed()
+        return mutated(a, b, x, y, z)
 
     monkeypatch.setattr(cohomology, "_h_scroll", mutant)
     assert _cli_failures((1, 2, 4), capsys) == {
@@ -448,6 +454,15 @@ def _series_of_m_plus_one(c, step, n):
     return m * c - step * (m * (m + 1) // 2)
 
 
+def _surface_sum(a, alpha, beta):
+    """h^i(F_a, O(alpha, beta)) for alpha != -1, summed term by term over P^1."""
+    if alpha < 0:  # Serre duality with K_{F_a} = (-2, -a-2)
+        d0, d1, d2 = _surface_sum(a, -2 - alpha, -a - 2 - beta)
+        return (d2, d1, d0)
+    degs = [beta - k * a for k in range(alpha + 1)]
+    return (sum(max(d + 1, 0) for d in degs), sum(max(-d - 1, 0) for d in degs), 0)
+
+
 def _scroll_mutant(js, shift):
     """_h_scroll, summing over j in js(x) with the j-th term at z - shift(j, b)."""
 
@@ -456,7 +471,7 @@ def _scroll_mutant(js, shift):
             return mutant(a, b, -2 - x, -2 - y, -(a + b + 2) - z).reversed()
         h = [0, 0, 0]
         for j in js(x):
-            h = [u + v for u, v in zip(h, cohomology._h_surface(a, y, z - shift(j, b)))]
+            h = [u + v for u, v in zip(h, _surface_sum(a, y, z - shift(j, b)))]
         return cohomology.CohomologyVector(*h, 0)
 
     return mutant
