@@ -16,10 +16,10 @@ and, forced by the relations above, C0^2.F = C0.F^2 = 0).
 All arithmetic is exact over the integers; Python integers never overflow,
 so the checked-width concern of a fixed-size implementation does not arise.
 
-DivisorClass and Codim2Class are NamedTuples with class arithmetic: +, -,
-unary - and integer scaling on either side, never tuple concatenation or
-repetition, and each result is a class of the same kind.  As tuples
-they compare equal to the plain tuple of their coefficients, so
+DivisorClass and Codim2Class are NamedTuples sharing one arithmetic
+(_class_arithmetic): +, -, unary - and integer scaling on either side, never
+tuple concatenation or repetition, each result a class of the same kind.
+As tuples they compare equal to the plain tuple of their coefficients, so
 DivisorClass(1, 2, 3) == Codim2Class(1, 2, 3).  ScrollParams is a
 validating NamedTuple too, so ScrollParams(1, 2, 4) == (1, 2, 4).
 """
@@ -72,13 +72,43 @@ class ScrollParams(_Params):
         return ScrollParams(self.b, self.a, self.c)
 
 
-# The arithmetic of the two unvalidated classes below unpacks its operands and
-# builds its result as the NamedTuple's own __new__ and _make do, skipping the
-# field descriptors, whose reads CPython 3.11 does not specialise.  Never for
-# ScrollParams, whose __new__ validates.
-_new = tuple.__new__
+def _class_arithmetic(cls):
+    """Give the NamedTuple `cls` +, -, unary -, integer scaling and as_tuple.
+
+    Results are built by tuple.__new__ on the bound `cls`, as the NamedTuple's
+    __new__ and _make do: no constructor call, no field descriptor read (which
+    CPython 3.11 does not specialise).  Never for ScrollParams: it validates.
+    """
+    new = tuple.__new__
+
+    def __add__(self, other):
+        x, y, z = self
+        u, v, w = other
+        return new(cls, (x + u, y + v, z + w))
+
+    def __sub__(self, other):
+        x, y, z = self
+        u, v, w = other
+        return new(cls, (x - u, y - v, z - w))
+
+    def __neg__(self):
+        x, y, z = self
+        return new(cls, (-x, -y, -z))
+
+    def __mul__(self, n: int):
+        x, y, z = self
+        return new(cls, (n * x, n * y, n * z))
+
+    def as_tuple(self) -> tuple[int, int, int]:
+        return tuple(self)
+
+    cls.__add__, cls.__sub__, cls.__neg__ = __add__, __sub__, __neg__
+    cls.__mul__ = cls.__rmul__ = __mul__
+    cls.as_tuple = as_tuple
+    return cls
 
 
+@_class_arithmetic
 class DivisorClass(NamedTuple):
     """x*xi + y*C0 + z*F with integer coefficients."""
 
@@ -86,63 +116,18 @@ class DivisorClass(NamedTuple):
     y: int
     z: int
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        x, y, z = self
-        u, v, w = other
-        return _new(DivisorClass, (x + u, y + v, z + w))
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        x, y, z = self
-        u, v, w = other
-        return _new(DivisorClass, (x - u, y - v, z - w))
-
-    def __neg__(self) -> "DivisorClass":
-        x, y, z = self
-        return _new(DivisorClass, (-x, -y, -z))
-
-    def __mul__(self, n: int) -> "DivisorClass":
-        x, y, z = self
-        return _new(DivisorClass, (n * x, n * y, n * z))
-
-    __rmul__ = __mul__
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return tuple(self)
-
     def swapped(self) -> "DivisorClass":
         """The same class in the basis of the F_b scroll structure: xi <-> C0, F fixed."""
         return DivisorClass(self.y, self.x, self.z)
 
 
+@_class_arithmetic
 class Codim2Class(NamedTuple):
     """p*xi.C0 + q*xi.F + r*C0.F with integer coefficients."""
 
     p: int
     q: int
     r: int
-
-    def __add__(self, other: "Codim2Class") -> "Codim2Class":
-        p, q, r = self
-        u, v, w = other
-        return _new(Codim2Class, (p + u, q + v, r + w))
-
-    def __sub__(self, other: "Codim2Class") -> "Codim2Class":
-        p, q, r = self
-        u, v, w = other
-        return _new(Codim2Class, (p - u, q - v, r - w))
-
-    def __neg__(self) -> "Codim2Class":
-        p, q, r = self
-        return _new(Codim2Class, (-p, -q, -r))
-
-    def __mul__(self, n: int) -> "Codim2Class":
-        p, q, r = self
-        return _new(Codim2Class, (n * p, n * q, n * r))
-
-    __rmul__ = __mul__
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return tuple(self)
 
     def swapped(self) -> "Codim2Class":
         """The same class in the basis of the F_b scroll structure.
@@ -194,9 +179,9 @@ def triple(d1: DivisorClass, d2: DivisorClass, d3: DivisorClass, params: ScrollP
 def numerical_invariants(params: ScrollParams) -> tuple[int, int, int]:
     """(n, d, g): ambient dimension, degree and sectional genus of (X, h).
 
-    n = 4c - 2a - 2b + 3, d = 3(2c - a - b), g = 2c - a - b - 1.  The degree
-    is not recomputed here; `verify` compares it with the Chow-ring h^3
-    (`chow-degree`) and the genus with adjunction (`chow-sectional-genus`).
+    n = 4c - 2a - 2b + 3, d = 3(2c - a - b), g = 2c - a - b - 1.  `verify`
+    compares n with h^0(h) - 1 (`chow-ambient-dim`), d with the Chow-ring h^3
+    (`chow-degree`) and g with adjunction (`chow-sectional-genus`).
     """
     a, b, c = params.a, params.b, params.c
     n = 4 * c - 2 * a - 2 * b + 3

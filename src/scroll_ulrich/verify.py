@@ -185,8 +185,9 @@ def _classification_checks(
 
 
 def _chow_checks(col: _Collector, params: ScrollParams):
-    _, d, g = numerical_invariants(params)
+    n, d, g = numerical_invariants(params)
     h = params.h
+    col.equal("chow-ambient-dim", h_scroll(params, h).h0 - 1, n)
     col.equal("chow-degree", triple(h, h, h, params), d)
     col.equal("chow-sectional-genus",
               triple(params.canonical + 2 * h, h, h, params), 2 * g - 2)

@@ -169,6 +169,8 @@ def test_tuple_backed_classes_keep_class_semantics():
     assert hash(s) == hash(Codim2Class(1, 2, 3))
     # the one change from the dataclass form: equality is by coefficients alone
     assert d == (1, 2, 3) == s and d.as_tuple() == s.as_tuple() == (1, 2, 3)
+    # verify's failure details print this value
+    assert all(type(t) is tuple and repr(t) == "(1, 2, 3)" for t in (d.as_tuple(), s.as_tuple()))
 
 
 codim2 = st.builds(Codim2Class, st.integers(-99, 99), st.integers(-99, 99), st.integers(-99, 99))

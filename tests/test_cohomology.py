@@ -299,7 +299,7 @@ def test_each_class_is_normalised_once(monkeypatch, x, y, z):
     assert len(series) == 2 * (x_normalised + 1)
 
 
-def test_strips_bypass_the_cache(monkeypatch):
+def test_strips_never_reach_the_scroll_layer(monkeypatch):
     # the strips never reach the scroll layer
     p = ScrollParams(1, 2, 4)
     strip = [DivisorClass(-1, y, z) for y in (-4, -1, 0, 3) for z in (-9, 0, 9)]
@@ -329,7 +329,7 @@ def test_strips_against_pushforward_loop(a, b, other, on_x_strip, z):
     assert h_scroll(p, DivisorClass(x, y, z)).as_tuple() == h_pushforward(a, b, x, y, z)
 
 
-def test_cache_holds_one_family():
+def test_three_families_match_the_pushforward_loop():
     # one family, another, the first's base swap and the first again, each
     # against the pushforward loop
     p, swap, other = ScrollParams(0, 1, 2), ScrollParams(1, 0, 2), ScrollParams(2, 3, 6)

@@ -642,12 +642,13 @@ def test_passing_rows_carry_no_detail(capsys):
     assert [row for row in rows if row[4] == "pass" and row[5]] == []
 
 
-def test_degree_plus_one_is_caught(monkeypatch, capsys):
+@pytest.mark.parametrize("field, check", [("d", "chow-degree"), ("n", "chow-ambient-dim")])
+def test_degree_plus_one_is_caught(field, check, monkeypatch, capsys):
     original = chow.numerical_invariants
 
     def mutant(params):
         n, d, g = original(params)
-        return n, d + 1, g
+        return (n + 1, d, g) if field == "n" else (n, d + 1, g)
 
     _patch_everywhere(monkeypatch, original, mutant)
-    assert "chow-degree" in _cli_failures((0, 1, 3), capsys)
+    assert check in _cli_failures((0, 1, 3), capsys)
