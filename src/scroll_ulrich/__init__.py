@@ -25,16 +25,14 @@ _LAYERS = {
         "serre_dual",
     ),
     "extensions": (
-        "InapplicableCaseError",
         "InstantonTriple",
         "ModuliPrediction",
         "Rank2ExtensionRecord",
         "chi_endomorphisms_rank2",
         "enumerate_cases",
-        "ext1_dim",
         "extension_chern",
         "instanton_admissible",
-        "moduli_prediction",
+        "moduli_predictions",
         "twisted_chern",
     ),
     "tower": (

@@ -223,7 +223,7 @@ def cmd_chow(args) -> tuple[Report, int]:
 
 
 def cmd_ext_table(args) -> tuple[Report, int]:
-    from .extensions import enumerate_cases, moduli_prediction
+    from .extensions import enumerate_cases, moduli_predictions
     from .ulrich import classify_ulrich_line_bundles
 
     records = Table(
@@ -258,14 +258,13 @@ def cmd_ext_table(args) -> tuple[Report, int]:
             ]
             for r in recs
         )
-        for case_id in sorted({r.case_id for r in recs}):
-            p = moduli_prediction(params, case_id)
-            predictions.rows.append(
-                [
-                    a, b, c, case_id, p.dimension_kind, p.dimension,
-                    p.generically_smooth, p.special, p.branch_note,
-                ]
-            )
+        predictions.rows.extend(
+            [
+                a, b, c, p.case_id, p.dimension_kind, p.dimension,
+                p.generically_smooth, p.special, p.branch_note,
+            ]
+            for p in moduli_predictions(params, recs)
+        )
     skipped = sum(params is None for _, _, _, params, _ in cells)
     meta = {"records": len(records.rows), "skipped_cells": skipped}
     return Report("ext-table", meta, [records, predictions]), EXIT_OK

@@ -13,7 +13,8 @@ under the vanishing h^2(sub - quot) = 0 that the long-exact-sequence
 argument needs, and is refused outside that hypothesis: the record stores
 None there.  enumerate_cases evaluates the cohomology of each difference
 class sub - quot once, and each record reads ext^1 and h^2(End F) off the
-vectors of sub - quot and quot - sub.
+vectors of sub - quot and quot - sub.  moduli_predictions computes nothing
+again: the prediction of a case reads the two ordered records of its pair.
 
 Unordered pairs are numbered 1..15 and grouped into orbits under the two
 involutions (Ulrich dual, base swap).  The orbits are derived at import from
@@ -36,13 +37,8 @@ from .ulrich import (
     ObstructionReport,
     UlrichLineBundleRecord,
     is_special_rank2,
-    named_line_bundles,
     pullback_obstruction_report,
 )
-
-
-class InapplicableCaseError(ValueError):
-    """The requested case involves line bundles that do not exist at these parameters."""
 
 
 # Unordered tag pairs <-> the case numbering of the fifteen pairs.
@@ -102,7 +98,11 @@ class Rank2ExtensionRecord(NamedTuple):
 
 
 class ModuliPrediction(NamedTuple):
-    """Moduli-component prediction for one case of rank-two extensions."""
+    """Moduli-component prediction for one case of rank-two extensions.
+
+    `branch_note` is prose: no verify row reads it, and only the golden
+    digest of `ext-table` pins its text.
+    """
 
     case_id: int
     dimension_kind: str  # "exact" | "at_least_if_stable" | "point"
@@ -122,11 +122,6 @@ class InstantonTriple(NamedTuple):
     charge: int
     c2_after_twist: tuple[int, int, int]
     predicted_dim: int
-
-
-def ext1_dim(params: ScrollParams, a: DivisorClass, b: DivisorClass) -> int:
-    """ext^1(A, B) = h^1(B - A), the space of extensions 0 -> B -> F -> A -> 0."""
-    return h_scroll(params, b - a).h1
 
 
 def extension_chern(
@@ -210,19 +205,6 @@ def enumerate_cases(
     return records
 
 
-def _case_divisors(params: ScrollParams, case_id: int) -> tuple[DivisorClass, DivisorClass]:
-    if case_id not in PAIR_OF_CASE:
-        raise InapplicableCaseError(f"unknown case id {case_id}")
-    forms = named_line_bundles(params)
-    pair = sorted(PAIR_OF_CASE[case_id])
-    missing = [t for t in pair if t not in forms]
-    if missing:
-        raise InapplicableCaseError(
-            f"case {case_id} needs {missing} which do not exist at {params}"
-        )
-    return forms[pair[0]], forms[pair[1]]
-
-
 _CONDITIONAL_NOTE = (
     "if the component contains stable points: dim >= 5 and the general member "
     "is slope-stable and special; otherwise the component is the single "
@@ -230,29 +212,35 @@ _CONDITIONAL_NOTE = (
 )
 
 
-def moduli_prediction(params: ScrollParams, case_id: int) -> ModuliPrediction:
-    """Predicted moduli component for the given case at these parameters.
+def moduli_predictions(
+    params: ScrollParams, records: list[Rank2ExtensionRecord]
+) -> list[ModuliPrediction]:
+    """The predicted moduli component of each case of `records`, sorted by case.
 
-    Cases outside the representative set {1, 2, 3, 4, 8, 9} are resolved
-    through their involution orbit (the base swap exchanges a and b).
+    `records` is enumerate_cases of `params`.  Each prediction reads its
+    case's two ordered records: chi_endo, special, and the ext_dim of both
+    directions.  Cases outside the representative set {1, 2, 3, 4, 8, 9} are
+    resolved through their involution orbit (the base swap exchanges a and b).
     """
-    d1, d2 = _case_divisors(params, case_id)
-    special = is_special_rank2(params, d1 + d2)
+    by_case: dict[int, list[Rank2ExtensionRecord]] = {}
+    for r in records:
+        by_case.setdefault(r.case_id, []).append(r)
+    return [_prediction(params, case_id, pair) for case_id, pair in sorted(by_case.items())]
+
+
+def _prediction(
+    params: ScrollParams, case_id: int, pair: list[Rank2ExtensionRecord]
+) -> ModuliPrediction:
+    special = pair[0].special
     rep = ORBIT_REPRESENTATIVE[case_id]
 
     if rep in (1, 2):
         # the expected dimension of a simple F (h^0 = 1, h^3 = 0 of End F):
         # h^1 - h^2 = 1 - chi(End F)
-        dim = 1 - chi_endomorphisms_rank2(params, d1, d2)
+        dim = 1 - pair[0].chi_endo
         if rep == 2:
-            return ModuliPrediction(
-                case_id,
-                "exact",
-                dim,
-                True,
-                special,
-                "component rational; general member slope-stable and special",
-            )
+            note = "component rational; general member slope-stable and special"
+            return ModuliPrediction(case_id, "exact", dim, True, special, note)
         if max(params.a, params.b) > 1:
             return ModuliPrediction(
                 case_id, "at_least_if_stable", dim, None, special, _CONDITIONAL_NOTE
@@ -263,18 +251,12 @@ def moduli_prediction(params: ScrollParams, case_id: int) -> ModuliPrediction:
         return ModuliPrediction(case_id, "exact", dim, True, special, note)
 
     if rep == 9:
-        return ModuliPrediction(
-            case_id,
-            "point",
-            0,
-            None,
-            special,
-            "no non-trivial extensions in either direction; only the split bundle",
-        )
+        note = "no non-trivial extensions in either direction; only the split bundle"
+        return ModuliPrediction(case_id, "point", 0, None, special, note)
 
     # reps 3, 4, 8: strictly semistable extensions collapse under S-equivalence
     note = "all extensions strictly semistable; GIT contracts them to the split bundle"
-    if ext1_dim(params, d1, d2) == 0 and ext1_dim(params, d2, d1) == 0:
+    if all(r.ext_dim == 0 for r in pair):
         note = "both extension spaces vanish; only the split bundle occurs"
     return ModuliPrediction(case_id, "point", 0, None, special, note)
 

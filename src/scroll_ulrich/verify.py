@@ -15,8 +15,9 @@ that sweep.
 The library computes and this module checks what it computed: the cell
 rows of the Ulrich dual and of the rank-two invariants read the records
 that `classify` and `ext-table` print (the dual of each classified bundle,
-the fields of the enumerate_cases records, by their two tags) and compare
-them with closed forms; a missing record fails its row.  These live only
+the fields of the enumerate_cases records, by their two tags, and the
+moduli predictions of those records, by case) and compare them with closed
+forms; a missing record fails its row.  These live only
 here: the O(1) certificate that the classification scan misses no Ulrich
 bundle, both its x, y bound and its z-window (`ulrich-scan-bounds`, with the
 one copy of the L_j root), the involution transport of the extension records
@@ -37,10 +38,11 @@ from .cohomology import chi_closed_form, h_scroll, serre_dual
 from .extensions import (
     CASE_OF_PAIR,
     ORBIT_REPRESENTATIVE,
+    ModuliPrediction,
     Rank2ExtensionRecord,
     enumerate_cases,
     instanton_admissible,
-    moduli_prediction,
+    moduli_predictions,
 )
 from .tower import (
     chi_endo_tower,
@@ -68,6 +70,7 @@ from .ulrich import (
 Bundles = list[UlrichLineBundleRecord]
 Records = list[Rank2ExtensionRecord]
 ByTags = dict[tuple[str, str], Rank2ExtensionRecord]  # (sub_tag, quot_tag) -> its record
+Predictions = dict[int, ModuliPrediction]  # case -> the prediction of its records
 Failures = list[tuple[str, DivisorClass]]  # (check, class) of the cohomology box
 
 REPRESENTATIVE_PARAMS = (
@@ -450,45 +453,48 @@ def _endo_checks(col: _Collector, params: ScrollParams, rec: ByTags):
     col.check("endo-dual-pairs-nonpositive", all(x is not None and x <= 0 for x in chis))
 
 
-def _moduli_checks(col: _Collector, params: ScrollParams, rec: ByTags):
+def _moduli_checks(col: _Collector, params: ScrollParams, rec: ByTags, predictions: Predictions):
     a, b, c = params.a, params.b, params.c
     special = lambda sub_tag, quot_tag: _read(rec, sub_tag, quot_tag, "special")
-    p1 = moduli_prediction(params, 1)
-    smooth = [(1, p1, ("N_dual", "N"))]  # (case, prediction, the pair _endo_checks reads)
+
+    def predicted(case: int, *fields: str) -> tuple:
+        # a case without records has no prediction: all None, so its rows fail
+        return tuple(getattr(predictions.get(case), field, None) for field in fields)
+
+    shape = ("dimension_kind", "dimension", "generically_smooth")
+    smooth = [(1, ("N_dual", "N"))]  # (case, the pair _endo_checks reads)
     if max(a, b) <= 1:
-        col.equal("moduli-case1", (p1.dimension_kind, p1.dimension, p1.generically_smooth),
-                  ("exact", 5, True))
+        col.equal("moduli-case1", predicted(1, *shape), ("exact", 5, True))
     else:
-        col.equal("moduli-case1", (p1.dimension_kind, p1.dimension, p1.generically_smooth),
-                  ("at_least_if_stable", 5, None))
-    col.equal("moduli-case1-special", (p1.special, special("N_dual", "N")), (True, True))
+        col.equal("moduli-case1", predicted(1, *shape), ("at_least_if_stable", 5, None))
+    col.equal("moduli-case1-special", (*predicted(1, "special"), special("N_dual", "N")),
+              (True, True))
     if a == 0:
-        p2 = moduli_prediction(params, 2)
-        col.equal("moduli-case2", (p2.dimension_kind, p2.dimension, p2.generically_smooth),
-                  ("exact", 4 * (2 * c - b) - 3, True))
-        col.equal("moduli-case2-special", (p2.special, special("L_dual", "L")), (True, True))
-        smooth.append((2, p2, ("L_dual", "L")))
-        for k, pair in ((3, ("N", "L")), (4, ("L", "N_dual"))):
-            pk = moduli_prediction(params, k)
-            col.equal(f"moduli-case{k}", (pk.dimension_kind, pk.special, special(*pair)),
-                      ("point", False, False))
+        col.equal("moduli-case2", predicted(2, *shape), ("exact", 4 * (2 * c - b) - 3, True))
+        col.equal("moduli-case2-special", (*predicted(2, "special"), special("L_dual", "L")),
+                  (True, True))
+        smooth.append((2, ("L_dual", "L")))
     if b == 0:  # case 7, the base-swap image of case 2
-        p7 = moduli_prediction(params, 7)
-        col.equal("moduli-case7", (p7.dimension_kind, p7.dimension, p7.generically_smooth),
-                  ("exact", 4 * (2 * c - a) - 3, True))
-        col.equal("moduli-case7-special", (p7.special, special("M", "M_dual")), (True, True))
-        smooth.append((7, p7, ("M", "M_dual")))
+        col.equal("moduli-case7", predicted(7, *shape), ("exact", 4 * (2 * c - a) - 3, True))
+        col.equal("moduli-case7-special", (*predicted(7, "special"), special("M", "M_dual")),
+                  (True, True))
+        smooth.append((7, ("M", "M_dual")))
+    # the point cases: dimension 0, neither the prediction nor the record special
+    points = [(3, ("N", "L")), (4, ("L", "N_dual"))] if a == 0 else []
     if a == 0 and b == 0:
-        p8 = moduli_prediction(params, 8)
-        col.equal("moduli-case8", (p8.dimension_kind, p8.special, special("M", "L")),
-                  ("point", False, False))
+        points.append((8, ("M", "L")))
+    for k, pair in points:
+        col.equal(f"moduli-case{k}",
+                  (*predicted(k, "dimension_kind", "dimension", "special"), special(*pair)),
+                  ("point", 0, False, False))
 
     def smooth_vs_h2() -> Iterator[str]:
         # generically smooth exactly where the computed h^2(End F) vanishes
-        for k, p, pair in smooth:
+        for k, pair in smooth:
+            (smooth_k,) = predicted(k, "generically_smooth")
             h2 = _read(rec, *pair, "h2_endo")
-            if pair not in rec or (p.generically_smooth is True) != (h2 == 0):
-                yield f"case {k}: generically_smooth {p.generically_smooth}, h2_endo {h2}"
+            if pair not in rec or (smooth_k is True) != (h2 == 0):
+                yield f"case {k}: generically_smooth {smooth_k}, h2_endo {h2}"
 
     col.first("moduli-smooth-h2", smooth_vs_h2())
 
@@ -512,7 +518,8 @@ def run_cell_checks(cell: tuple[int, int, int], cohomology: Failures) -> list[Ch
     _ext_checks(col, params, rec, swapped_records)
     _chern_checks(col, params, rec)
     _endo_checks(col, params, rec)
-    _moduli_checks(col, params, rec)
+    predictions = {p.case_id: p for p in moduli_predictions(params, records)}
+    _moduli_checks(col, params, rec, predictions)
     return col.results
 
 
@@ -688,11 +695,13 @@ def run_instanton_checks() -> list[CheckResult]:
                 for t in triples),
         )
         if c == 1:
-            p1 = moduli_prediction(ScrollParams(0, 0, 1), 1)
+            params = ScrollParams(0, 0, 1)
+            records = enumerate_cases(params, classify_ulrich_line_bundles(params))
+            p1 = next((p for p in moduli_predictions(params, records) if p.case_id == 1), None)
             col.check(
                 "instanton-c1-crosscheck",
                 all(t.predicted_dim == 5 for t in triples)
-                and p1.dimension == 5 and p1.dimension_kind == "exact",
+                and p1 is not None and (p1.dimension_kind, p1.dimension) == ("exact", 5),
             )
         out.extend(col.results)
     return out

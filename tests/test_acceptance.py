@@ -20,7 +20,6 @@ from scroll_ulrich import (
     chi_tower_vs_line,
     classify_ulrich_line_bundles,
     enumerate_cases,
-    ext1_dim,
     extension_chern,
     h_scroll,
     instanton_admissible,
@@ -28,7 +27,7 @@ from scroll_ulrich import (
     iter_tower,
     moduli_dim_gap,
     moduli_dim_tower,
-    moduli_prediction,
+    moduli_predictions,
     named_line_bundles,
     numerical_invariants,
     serre_dual,
@@ -119,18 +118,18 @@ def test_criterion_04_ext_tables():
     for p in GRID:
         a, b, c = p.a, p.b, p.c
         f = named_line_bundles(p)
-        ok &= ext1_dim(p, f["N"], f["N_dual"]) == (a + 2 if a > 0 else 3)
-        ok &= ext1_dim(p, f["N_dual"], f["N"]) == (b + 2 if b > 0 else 3)
+        ok &= h_scroll(p, f["N_dual"] - f["N"]).h1 == (a + 2 if a > 0 else 3)
+        ok &= h_scroll(p, f["N"] - f["N_dual"]).h1 == (b + 2 if b > 0 else 3)
         if a == 0:
-            ok &= ext1_dim(p, f["L"], f["L_dual"]) == 3 * (2 * c - b - 1)
-            ok &= ext1_dim(p, f["L_dual"], f["L"]) == 2 * c - b + 1
-            ok &= ext1_dim(p, f["N"], f["L"]) == 0
+            ok &= h_scroll(p, f["L_dual"] - f["L"]).h1 == 3 * (2 * c - b - 1)
+            ok &= h_scroll(p, f["L"] - f["L_dual"]).h1 == 2 * c - b + 1
+            ok &= h_scroll(p, f["L"] - f["N"]).h1 == 0
             want = 2 * c - b - 2 if c > b + 1 else c - 1
-            ok &= ext1_dim(p, f["L"], f["N"]) == want
-            ok &= ext1_dim(p, f["N_dual"], f["L"]) == 2 * c - b + 2
+            ok &= h_scroll(p, f["N"] - f["L"]).h1 == want
+            ok &= h_scroll(p, f["L"] - f["N_dual"]).h1 == 2 * c - b + 2
         if a == 0 and b == 0:
-            ok &= ext1_dim(p, f["L"], f["M"]) == 8 * c - 4
-            ok &= ext1_dim(p, f["L"], f["M_dual"]) == 0
+            ok &= h_scroll(p, f["M"] - f["L"]).h1 == 8 * c - 4
+            ok &= h_scroll(p, f["M_dual"] - f["L"]).h1 == 0
     report(4, "ext^1 closed forms on all applicable cells", ok)
 
 
@@ -202,25 +201,31 @@ def test_criterion_06_endomorphism_values():
     report(6, "chi / h^2 endomorphism values", ok)
 
 
+def _predictions(p):
+    records = enumerate_cases(p, classify_ulrich_line_bundles(p))
+    return {pred.case_id: pred for pred in moduli_predictions(p, records)}
+
+
 def test_criterion_07_moduli_predictions():
     ok = True
     for p in GRID:
         a, b, c = p.a, p.b, p.c
-        p1 = moduli_prediction(p, 1)
+        pred = _predictions(p)
+        p1 = pred[1]
         if max(a, b) <= 1:
             ok &= (p1.dimension_kind, p1.dimension, p1.generically_smooth) == ("exact", 5, True)
         else:
             ok &= (p1.dimension_kind, p1.dimension) == ("at_least_if_stable", 5)
             ok &= "otherwise" in p1.branch_note  # both branches carried
         if a == 0:
-            p2 = moduli_prediction(p, 2)
+            p2 = pred[2]
             ok &= (p2.dimension_kind, p2.dimension, p2.generically_smooth, p2.special) == (
                 "exact", 4 * (2 * c - b) - 3, True, True,
             )
-            ok &= moduli_prediction(p, 3).dimension_kind == "point"
-            ok &= moduli_prediction(p, 4).dimension_kind == "point"
+            ok &= pred[3].dimension_kind == "point"
+            ok &= pred[4].dimension_kind == "point"
         if a == 0 and b == 0:
-            ok &= moduli_prediction(p, 8).dimension_kind == "point"
+            ok &= pred[8].dimension_kind == "point"
     report(7, "moduli dimensions, points and conditional branches", ok)
 
 
@@ -258,7 +263,7 @@ def test_criterion_09_instanton():
         ok &= all(t.predicted_dim == 8 * c - 3 for t in gammas) and len(gammas) == 2 * c + 1
     # at c = 1 both families predict 5, matching the case-1 component
     ones = instanton_admissible(1)
-    p1 = moduli_prediction(ScrollParams(0, 0, 1), 1)
+    p1 = _predictions(ScrollParams(0, 0, 1))[1]
     ok &= all(t.predicted_dim == 5 for t in ones)
     ok &= (p1.dimension_kind, p1.dimension) == ("exact", 5)
     report(9, "instanton admissibility and dimensions", ok)

@@ -4,19 +4,19 @@ import pytest
 
 from scroll_ulrich import (
     DivisorClass,
-    InapplicableCaseError,
     ScrollParams,
     chi_endomorphisms_rank2,
     classify_ulrich_line_bundles,
     enumerate_cases,
-    ext1_dim,
     extension_chern,
+    h_scroll,
     instanton_admissible,
-    moduli_prediction,
+    moduli_predictions,
     named_line_bundles,
     twisted_chern,
 )
 from scroll_ulrich import extensions
+from scroll_ulrich.cli import EXIT_OK, main
 from scroll_ulrich.extensions import CASE_ORBITS, ORBIT_REPRESENTATIVE
 
 A0_GRID = [(0, b, c) for b in range(4) for c in range(b + 1, b + 7)]
@@ -31,29 +31,29 @@ FULL_GRID = [
 def test_ext_dims_named_examples():
     p = ScrollParams(2, 3, 6)
     f = named_line_bundles(p)
-    assert ext1_dim(p, f["N"], f["N_dual"]) == 4  # a + 2
+    assert h_scroll(p, f["N_dual"] - f["N"]).h1 == 4  # a + 2
     q = ScrollParams(0, 1, 3)
     g = named_line_bundles(q)
-    assert ext1_dim(q, g["L"], g["L_dual"]) == 12  # 3(2c - b - 1)
-    assert ext1_dim(q, g["L"], g["L"]) == 0
+    assert h_scroll(q, g["L_dual"] - g["L"]).h1 == 12  # 3(2c - b - 1)
+    assert h_scroll(q, g["L"] - g["L"]).h1 == 0
 
 
 def test_ext_dim_table_on_grid():
     for a, b, c in FULL_GRID:
         p = ScrollParams(a, b, c)
         f = named_line_bundles(p)
-        assert ext1_dim(p, f["N"], f["N_dual"]) == (a + 2 if a > 0 else 3)
-        assert ext1_dim(p, f["N_dual"], f["N"]) == (b + 2 if b > 0 else 3)
+        assert h_scroll(p, f["N_dual"] - f["N"]).h1 == (a + 2 if a > 0 else 3)
+        assert h_scroll(p, f["N"] - f["N_dual"]).h1 == (b + 2 if b > 0 else 3)
         if a == 0:
-            assert ext1_dim(p, f["L"], f["L_dual"]) == 3 * (2 * c - b - 1)
-            assert ext1_dim(p, f["L_dual"], f["L"]) == 2 * c - b + 1
-            assert ext1_dim(p, f["N"], f["L"]) == 0
+            assert h_scroll(p, f["L_dual"] - f["L"]).h1 == 3 * (2 * c - b - 1)
+            assert h_scroll(p, f["L"] - f["L_dual"]).h1 == 2 * c - b + 1
+            assert h_scroll(p, f["L"] - f["N"]).h1 == 0
             want = 2 * c - b - 2 if c > b + 1 else c - 1
-            assert ext1_dim(p, f["L"], f["N"]) == want
-            assert ext1_dim(p, f["N_dual"], f["L"]) == 2 * c - b + 2
+            assert h_scroll(p, f["N"] - f["L"]).h1 == want
+            assert h_scroll(p, f["L"] - f["N_dual"]).h1 == 2 * c - b + 2
         if a == 0 and b == 0:
-            assert ext1_dim(p, f["L"], f["M"]) == 8 * c - 4
-            assert ext1_dim(p, f["L"], f["M_dual"]) == 0
+            assert h_scroll(p, f["M"] - f["L"]).h1 == 8 * c - 4
+            assert h_scroll(p, f["M_dual"] - f["L"]).h1 == 0
 
 
 def test_ext_asymmetry():
@@ -61,8 +61,8 @@ def test_ext_asymmetry():
         for c in range(b + 2, b + 7):  # c > b + 1
             p = ScrollParams(0, b, c)
             f = named_line_bundles(p)
-            assert ext1_dim(p, f["N"], f["L"]) == 0
-            assert ext1_dim(p, f["L"], f["N"]) == 2 * c - b - 2 > 0
+            assert h_scroll(p, f["L"] - f["N"]).h1 == 0
+            assert h_scroll(p, f["N"] - f["L"]).h1 == 2 * c - b - 2 > 0
 
 
 def test_extension_chern_examples():
@@ -237,10 +237,10 @@ def test_involutions_transport_case_data_verbatim():
 def test_split_only_at_degree_six():
     p = ScrollParams(0, 0, 1)
     f = named_line_bundles(p)
-    assert ext1_dim(p, f["L"], f["N"]) == 0
-    assert ext1_dim(p, f["N"], f["L"]) == 0
-    pred = moduli_prediction(p, 3)
-    assert pred.dimension_kind == "point"
+    assert h_scroll(p, f["N"] - f["L"]).h1 == 0
+    assert h_scroll(p, f["L"] - f["N"]).h1 == 0
+    pred = _predictions((0, 0, 1))[3]
+    assert (pred.dimension_kind, pred.dimension) == ("point", 0)
     assert "split" in pred.branch_note
 
 
@@ -265,35 +265,58 @@ def test_obstruction_verdicts():
         assert recs[k].obstruction.from_both
 
 
+def _predictions(cell):
+    """The moduli predictions of the records at `cell`, by case."""
+    p = ScrollParams(*cell)
+    records = enumerate_cases(p, classify_ulrich_line_bundles(p))
+    return {pred.case_id: pred for pred in moduli_predictions(p, records)}
+
+
 def test_moduli_predictions():
-    p = moduli_prediction(ScrollParams(0, 1, 3), 2)
+    p = _predictions((0, 1, 3))[2]
     assert (p.dimension_kind, p.dimension, p.generically_smooth, p.special) == (
         "exact", 17, True, True,
     )
-    p = moduli_prediction(ScrollParams(1, 1, 3), 1)
+    p = _predictions((1, 1, 3))[1]
     assert (p.dimension_kind, p.dimension) == ("exact", 5)
-    p = moduli_prediction(ScrollParams(0, 1, 2), 3)
+    p = _predictions((0, 1, 2))[3]
     assert p.dimension_kind == "point" and not p.special
-    p = moduli_prediction(ScrollParams(0, 0, 2), 8)
+    p = _predictions((0, 0, 2))[8]
     assert p.dimension_kind == "point"
     for cell in [(0, 2, 4), (1, 2, 4), (2, 3, 6)]:
-        p = moduli_prediction(ScrollParams(*cell), 1)
+        p = _predictions(cell)[1]
         assert (p.dimension_kind, p.dimension, p.generically_smooth) == (
             "at_least_if_stable", 5, None,
         )
         assert "stable points" in p.branch_note
     # swap image of case 2 at a b = 0 cell
-    p = moduli_prediction(ScrollParams(2, 0, 4), 7)
+    p = _predictions((2, 0, 4))[7]
     assert (p.dimension_kind, p.dimension) == ("exact", 4 * (2 * 4 - 2) - 3)
 
 
-def test_moduli_inapplicable():
-    with pytest.raises(InapplicableCaseError):
-        moduli_prediction(ScrollParams(1, 1, 3), 2)
-    with pytest.raises(InapplicableCaseError):
-        moduli_prediction(ScrollParams(0, 1, 2), 8)
-    with pytest.raises(InapplicableCaseError):
-        moduli_prediction(ScrollParams(0, 0, 1), 99)
+def test_one_prediction_per_case_of_the_records():
+    # a case whose line bundles do not exist at the parameters has no records,
+    # and so no prediction
+    assert list(_predictions((1, 1, 3))) == [1]
+    assert list(_predictions((0, 1, 2))) == [1, 2, 3, 4, 5, 6]
+    assert list(_predictions((0, 0, 2))) == list(range(1, 16))
+
+
+@pytest.mark.parametrize("cell, classes", [((0, 0, 3), 18), ((0, 1, 3), 8)])
+def test_ext_table_evaluates_each_difference_class_once(monkeypatch, capsys, cell, classes):
+    # the predictions read the records, so they ask h_scroll nothing
+    calls = []
+    original = extensions.h_scroll
+
+    def counted(params, div):
+        calls.append(div)
+        return original(params, div)
+
+    monkeypatch.setattr(extensions, "h_scroll", counted)
+    a, b, c = cell
+    assert main(["ext-table", "--a", str(a), "--b", str(b), "--c", str(c)]) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == classes
 
 
 def test_instanton_charge_one():

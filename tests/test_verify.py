@@ -526,6 +526,22 @@ def test_missing_record_fails_its_rows_not_the_run(monkeypatch, capsys):
     } <= _cli_failures((2, 3, 6), capsys)
 
 
+def test_case_without_records_fails_its_moduli_rows(monkeypatch, capsys):
+    # the predictions are those of the records: a dropped case is not re-derived
+    original = verify.enumerate_cases
+
+    def dropped(params, bundles):
+        records = original(params, bundles)
+        if params != ScrollParams(0, 1, 3):
+            return records
+        return [r for r in records if r.case_id != 2]
+
+    monkeypatch.setattr(verify, "enumerate_cases", dropped)
+    assert {"moduli-case2", "moduli-case2-special", "moduli-smooth-h2"} <= _cli_failures(
+        (0, 1, 3), capsys
+    )
+
+
 def test_cohomology_rows_report_their_own_first_failure(monkeypatch):
     chi, dual = verify.chi_closed_form, verify.serre_dual
     monkeypatch.setattr(
@@ -550,7 +566,7 @@ def test_cohomology_rows_report_their_own_first_failure(monkeypatch):
 # Rank2ExtensionRecord, or the dual of an UlrichLineBundleRecord, each with the rows of
 # (0, 1, 3) that must fail.
 _MISWIRED_FIELDS = {
-    "ext-dim-reversed": ("ext_dim", lambda p, r: extensions.ext1_dim(p, r.sub, r.quotient),
+    "ext-dim-reversed": ("ext_dim", lambda p, r: cohomology.h_scroll(p, r.quotient - r.sub).h1,
                          {"ext-L-LU", "ext-LU-L"}),
     "chi-endo-plus-one": ("chi_endo", lambda p, r: r.chi_endo + 1,
                           {"endo-case1-chi", "endo-case2-chi"}),
@@ -607,16 +623,25 @@ def test_case7_chi_endo_minus_one_is_caught(monkeypatch, capsys, cell):
 
 def test_smoothness_claimed_where_h2_endo_is_nonzero_is_caught(monkeypatch, capsys):
     # at (0, 2, c) case 1 has h^2(End F) = b - 1 = 1, so it may not be claimed smooth
-    original = verify.moduli_prediction
+    original = verify.moduli_predictions
 
-    def mutant(params, case_id):
-        p = original(params, case_id)
-        if (params.a, params.b, case_id) == (0, 2, 1):
-            return p._replace(generically_smooth=True)
-        return p
+    def mutant(params, records):
+        return [p._replace(generically_smooth=True) if (params.a, params.b, p.case_id) == (0, 2, 1)
+                else p for p in original(params, records)]
 
-    monkeypatch.setattr(verify, "moduli_prediction", mutant)
+    monkeypatch.setattr(verify, "moduli_predictions", mutant)
     assert "moduli-smooth-h2" in _cli_failures((0, 2, 4), capsys)
+
+
+def test_point_case_of_positive_dimension_is_caught(monkeypatch, capsys):
+    original = verify.moduli_predictions
+
+    def mutant(params, records):
+        return [p._replace(dimension=1) if p.case_id == 3 else p
+                for p in original(params, records)]
+
+    monkeypatch.setattr(verify, "moduli_predictions", mutant)
+    assert "moduli-case3" in _cli_failures((0, 1, 3), capsys)
 
 
 def test_failing_classification_rows_keep_their_detail(monkeypatch):
