@@ -16,11 +16,13 @@ _LAYERS = {
         "mul_div_div",
         "numerical_invariants",
         "triple",
+        "whitney",
     ),
     "cohomology": (
         "CohomologyVector",
         "chi",
         "chi_closed_form",
+        "chi_filtered",
         "h_scroll",
         "serre_dual",
     ),
@@ -28,12 +30,9 @@ _LAYERS = {
         "InstantonTriple",
         "ModuliPrediction",
         "Rank2ExtensionRecord",
-        "chi_endomorphisms_rank2",
         "enumerate_cases",
-        "extension_chern",
         "instanton_admissible",
         "moduli_predictions",
-        "twisted_chern",
     ),
     "tower": (
         "TowerBundle",

@@ -26,6 +26,7 @@ validating NamedTuple too, so ScrollParams(1, 2, 4) == (1, 2, 4).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from typing import NamedTuple
 
@@ -174,6 +175,28 @@ def mul_div_c2(d: DivisorClass, s: Codim2Class, params: ScrollParams) -> int:
 def triple(d1: DivisorClass, d2: DivisorClass, d3: DivisorClass, params: ScrollParams) -> int:
     """Symmetric trilinear intersection number d1.d2.d3."""
     return mul_div_c2(d1, mul_div_div(d2, d3, params), params)
+
+
+_ZERO_C2 = Codim2Class(0, 0, 0)
+
+
+def whitney(
+    params: ScrollParams, quotients: Iterable[DivisorClass]
+) -> Iterator[tuple[DivisorClass, Codim2Class, int]]:
+    """(c1, c2, c3) of a bundle filtered by line bundles, after each quotient.
+
+    Whitney (Fulton, Intersection Theory, Thm. 3.2(e)): c is the product of the
+    1 + q over the quotients; after the first, q steps c3 += q.c2, c2 += c1.q, c1 += q.
+    """
+    quotients = iter(quotients)
+    for c1 in quotients:  # c = 1 + q for the first; the inner loop takes the rest
+        c2, c3 = _ZERO_C2, 0
+        yield c1, c2, c3
+        for q in quotients:
+            c3 += mul_div_c2(q, c2, params)
+            c2 += mul_div_div(c1, q, params)
+            c1 += q
+            yield c1, c2, c3
 
 
 def numerical_invariants(params: ScrollParams) -> tuple[int, int, int]:

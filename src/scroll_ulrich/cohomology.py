@@ -44,6 +44,7 @@ so the surface layer never sees alpha = -1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .chow import DivisorClass, ScrollParams
@@ -129,6 +130,16 @@ def chi(params: ScrollParams, div: DivisorClass) -> int:
     a, b, _ = params
     x, y, z = div
     return twice_chi(a, b, x, y, z) // 2
+
+
+def chi_filtered(
+    params: ScrollParams, quotients: Iterable[DivisorClass], line: DivisorClass
+) -> int:
+    """chi(E (x) line^dual) for E filtered by `quotients`: additive, sum of chi(q - line)."""
+    total = 0
+    for q in quotients:
+        total += chi(params, q - line)
+    return total
 
 
 def chi_closed_form(params: ScrollParams, div: DivisorClass) -> int:

@@ -2,9 +2,10 @@
 
 An ordered pair (sub, quot) stands for extensions 0 -> sub -> F -> quot -> 0,
 classified by Ext^1(quot, sub) = H^1(sub - quot).  The convention is fixed
-once here; every record stores the pair explicitly.  Chern classes follow
-Whitney: c1 = sub + quot, c2 = sub . quot, and the Euler characteristic of
-End(F) is additive over the induced filtration,
+once here; every record stores the pair explicitly.  Like the tower, F is
+filtered by line bundles: chow.whitney folds its Chern classes over (sub,
+quot), and those of F(-h) over (sub - h, quot - h); chi(End F), additive
+over the filtration, stays the O(r^2) pair sum of cohomology.chi_filtered,
 
     chi(F (x) F^dual) = 2 chi(O_X) + chi(sub - quot) + chi(quot - sub).
 
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chow import Codim2Class, DivisorClass, ScrollParams, mul_div_div
-from .cohomology import CohomologyVector, chi, h_scroll
+from .chow import Codim2Class, DivisorClass, ScrollParams, whitney
+from .cohomology import CohomologyVector, chi_filtered, h_scroll
 from .ulrich import (
     DUAL_TAG,
     SWAP_TAG,
@@ -124,28 +125,6 @@ class InstantonTriple(NamedTuple):
     predicted_dim: int
 
 
-def extension_chern(
-    params: ScrollParams, sub: DivisorClass, quot: DivisorClass
-) -> tuple[DivisorClass, Codim2Class]:
-    """(c1, c2) of any extension of quot by sub: (sub + quot, sub . quot)."""
-    return sub + quot, mul_div_div(sub, quot, params)
-
-
-def twisted_chern(
-    params: ScrollParams, c1: DivisorClass, c2: Codim2Class
-) -> tuple[DivisorClass, Codim2Class]:
-    """Chern classes of F(-h) for a rank-two F: (c1 - 2h, c2 - c1.h + h^2)."""
-    h = params.h
-    return c1 - 2 * h, c2 - mul_div_div(c1, h, params) + mul_div_div(h, h, params)
-
-
-def chi_endomorphisms_rank2(
-    params: ScrollParams, sub: DivisorClass, quot: DivisorClass
-) -> int:
-    """chi(F (x) F^dual) = 2 + chi(sub - quot) + chi(quot - sub)."""
-    return 2 + chi(params, sub - quot) + chi(params, quot - sub)
-
-
 def build_extension_record(
     params: ScrollParams,
     sub: DivisorClass,
@@ -156,8 +135,9 @@ def build_extension_record(
     quot_minus_sub: CohomologyVector,
 ) -> Rank2ExtensionRecord:
     """The record of (sub, quot); the last two are h_scroll of sub - quot and quot - sub."""
-    c1, c2 = extension_chern(params, sub, quot)
-    c1_tw, c2_tw = twisted_chern(params, c1, c2)
+    pair = (sub, quot)
+    *_, (c1, c2, _) = whitney(params, pair)
+    *_, (c1_tw, c2_tw, _) = whitney(params, (sub - params.h, quot - params.h))  # F(-h)
     return Rank2ExtensionRecord(
         sub=sub,
         quotient=quot,
@@ -167,7 +147,7 @@ def build_extension_record(
         ext_dim=sub_minus_quot.h1,  # ext^1(quot, sub) = h^1(sub - quot)
         c1=c1,
         c2=c2,
-        chi_endo=chi_endomorphisms_rank2(params, sub, quot),
+        chi_endo=chi_filtered(params, pair, sub) + chi_filtered(params, pair, quot),
         # h^2(End F) = h^2(quot - sub), where h^2(sub - quot) vanishes
         h2_endo=quot_minus_sub.h2 if sub_minus_quot.h2 == 0 else None,
         special=is_special_rank2(params, c1),

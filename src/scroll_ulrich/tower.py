@@ -1,16 +1,14 @@
 """Iterated alternating extensions of the N pair and their invariants.
 
 G_1 = N^U and each G_r sits in 0 -> G_{r-1} -> G_r -> Q_r -> 0, where the
-quotient Q_r alternates: N^U for odd r, N for even r.  Chern classes follow
-the truncated Whitney product,
-
-    c1(G_r) = c1(G_{r-1}) + c1(Q_r),
-    c2(G_r) = c2(G_{r-1}) + c1(G_{r-1}) . c1(Q_r),
-    c3(G_r) = c3(G_{r-1}) + c2(G_{r-1}) . c1(Q_r).
-
-`iter_tower` carries (c1, c2, c3) forward and yields G_1, ..., G_rmax in one
-pass, one Whitney step per rank; `_quotients` is the one place that spells
-the alternation of the quotients.
+quotient Q_r alternates: N^U for odd r, N for even r.  G_r is filtered by
+Q_1, ..., Q_r and reads the rules the rank-two records read: its Chern
+classes are the Whitney fold chow.whitney over the quotients, so
+`iter_tower` yields G_1, ..., G_rmax in one pass, one step per rank, and its
+chi sums are cohomology.chi_filtered, each term the Riemann-Roch polynomial:
+chi(End G_r) stays the O(r^2) pair sum, with no grouping by multiplicity,
+and asks no cohomology.  `_quotients` is the one place that spells the
+alternation of the quotients.
 
 This module computes and does not check itself: the closed forms in r of
 the Chern classes, of the chi ladders (-r-2 / -r against the next quotient,
@@ -18,15 +16,12 @@ the Chern classes, of the chi ladders (-r-2 / -r against the next quotient,
 3, 3, 5, 5, 7, ... live in `verify.run_tower_checks`, which certifies the
 Chern closed forms for all (a, b, c, r).
 
-The chi bookkeeping (chi of G_r against a line bundle, chi of End(G_r)) is
-additive over the filtration by construction: a sum of chi of line bundles,
-each the Riemann-Roch polynomial, so the O(r^2) pair sum of chi(End G_r)
-asks no cohomology.  Only the two h^1 seeds of `tower_h1_recursion` read
-h_scroll, once per cell whatever r_max is.  The chi closed forms and the
-h^1 sequence hold under the hypothesis 0 <= a <= b <= 1, where h^1 of both
-differences of the N pair equals 3.  Individual h^i of End(G_r) are not
-Chern-determined and are not computed; the h^1 sequence is conditional on
-the vanishing statements used by its long-exact-sequence derivation.
+Only the two h^1 seeds of `tower_h1_recursion` read h_scroll, once per cell
+whatever r_max is.  The chi closed forms and the h^1 sequence hold under the
+hypothesis 0 <= a <= b <= 1, where h^1 of both differences of the N pair
+equals 3.  Individual h^i of End(G_r) are not Chern-determined and are not
+computed; the h^1 sequence is conditional on the vanishing statements used
+by its long-exact-sequence derivation.
 """
 
 from __future__ import annotations
@@ -34,8 +29,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .chow import Codim2Class, DivisorClass, ScrollParams, mul_div_c2, mul_div_div
-from .cohomology import chi, h_scroll
+from .chow import Codim2Class, DivisorClass, ScrollParams, whitney
+from .cohomology import chi_filtered, h_scroll
 from .ulrich import named_line_bundles
 
 
@@ -68,29 +63,19 @@ def _quotients(params: ScrollParams, r: int) -> tuple[DivisorClass, ...]:
 
 def iter_tower(params: ScrollParams, r_max: int) -> Iterator[TowerBundle]:
     """G_1, ..., G_{r_max}, one Whitney step per rank; ValueError on iteration if r_max < 1."""
-    c1 = DivisorClass(0, 0, 0)
-    c2 = Codim2Class(0, 0, 0)
-    c3 = 0
-    for r, q in enumerate(_quotients(params, r_max), start=1):
-        c3 = c3 + mul_div_c2(q, c2, params)
-        c2 = c2 + mul_div_div(c1, q, params)
-        c1 = c1 + q
+    for r, (c1, c2, c3) in enumerate(whitney(params, _quotients(params, r_max)), start=1):
         yield TowerBundle(rank=r, c1=c1, c2=c2, c3=c3)
 
 
 def chi_tower_vs_line(params: ScrollParams, r: int, target: DivisorClass) -> int:
     """chi(G_r (x) target^dual), additive over the filtration."""
-    return sum(chi(params, q - target) for q in _quotients(params, r))
+    return chi_filtered(params, _quotients(params, r), target)
 
 
 def chi_endo_tower(params: ScrollParams, r: int) -> int:
-    """chi(G_r (x) G_r^dual) = sum over all quotient pairs of chi(q_i - q_j).
-
-    r^2 evaluations of the Riemann-Roch polynomial; the deformation count of
-    the tower component is 1 - chi(End G_r).
-    """
+    """chi(G_r (x) G_r^dual), the r^2 pair sum; 1 - chi(End G_r) is the deformation count."""
     quotients = _quotients(params, r)
-    return sum(chi(params, qi - qj) for qi in quotients for qj in quotients)
+    return sum(chi_filtered(params, quotients, t) for t in quotients)
 
 
 def tower_h1_recursion(params: ScrollParams, r_max: int) -> list[int]:

@@ -355,6 +355,7 @@ def _ext_checks(col: _Collector, params: ScrollParams, rec: ByTags, swapped_reco
     if a == 0 and b == 0:
         col.equal("ext-L-M", e("L", "M"), 8 * c - 4)
         col.equal("ext-L-MU", e("L", "M_dual"), 0)
+        col.equal("ext-MU-L", e("M_dual", "L"), 0)
 
     # the ordered-pair matrix transports along both involutions
     col.first("ext-involution-orbits",
@@ -482,7 +483,7 @@ def _moduli_checks(col: _Collector, params: ScrollParams, rec: ByTags, predictio
     # the point cases: dimension 0, neither the prediction nor the record special
     points = [(3, ("N", "L")), (4, ("L", "N_dual"))] if a == 0 else []
     if a == 0 and b == 0:
-        points.append((8, ("M", "L")))
+        points += [(8, ("M", "L")), (9, ("L", "M_dual"))]
     for k, pair in points:
         col.equal(f"moduli-case{k}",
                   (*predicted(k, "dimension_kind", "dimension", "special"), special(*pair)),

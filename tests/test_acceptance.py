@@ -16,11 +16,10 @@ from scroll_ulrich import (
     chi,
     chi_closed_form,
     chi_endo_tower,
-    chi_endomorphisms_rank2,
+    chi_filtered,
     chi_tower_vs_line,
     classify_ulrich_line_bundles,
     enumerate_cases,
-    extension_chern,
     h_scroll,
     instanton_admissible,
     is_ulrich_line,
@@ -34,8 +33,8 @@ from scroll_ulrich import (
     slope,
     tower_h1_recursion,
     triple,
-    twisted_chern,
     ulrich_dual,
+    whitney,
 )
 from scroll_ulrich.tower import tower_pair
 from scroll_ulrich.verify import _closed_c1, _closed_c2, _closed_c3
@@ -140,11 +139,12 @@ def test_criterion_05_rank2_chern_and_obstructions():
         f = named_line_bundles(p)
 
         def chern_ok(sub, quot, c1_want, c2_want, obs_a, obs_b):
-            c1, c2 = extension_chern(p, f[sub], f[quot])
+            # the Whitney fold over the quotients, and over their twists by -h for F(-h)
+            *_, (c1, c2, _) = whitney(p, (f[sub], f[quot]))
             good = c1.as_tuple() == c1_want and c2.as_tuple() == c2_want
             from scroll_ulrich import pullback_obstruction_report
 
-            _, c2_tw = twisted_chern(p, c1, c2)
+            *_, (_, c2_tw, _) = whitney(p, (f[sub] - p.h, f[quot] - p.h))
             rep = pullback_obstruction_report(c2_tw)
             return good and (rep.from_base_a, rep.from_base_b) == (obs_a, obs_b)
 
@@ -186,16 +186,20 @@ def test_criterion_06_endomorphism_values():
         # h^2(End F) is the h2_endo field of the record, None where it is refused
         h2 = {(r.sub_tag, r.quot_tag): r.h2_endo
               for r in enumerate_cases(p, classify_ulrich_line_bundles(p))}
+
+        def chi_endo(sub, quot):  # chi is additive over the filtration by (sub, quot)
+            return sum(chi_filtered(p, (sub, quot), t) for t in (sub, quot))
+
         alpha = b + 2 if b >= 1 else 3
         delta = b - 1 if b >= 2 else 0
         if a == 0:
-            ok &= chi_endomorphisms_rank2(p, NU, N) == delta - alpha - 1
+            ok &= chi_endo(NU, N) == delta - alpha - 1
             ok &= h2["N_dual", "N"] == delta
             LU, L = f["L_dual"], f["L"]
-            ok &= chi_endomorphisms_rank2(p, LU, L) == 4 - 4 * (2 * c - b)
+            ok &= chi_endo(LU, L) == 4 - 4 * (2 * c - b)
             ok &= h2["L_dual", "L"] == 0
         else:
-            ok &= chi_endomorphisms_rank2(p, NU, N) == -4
+            ok &= chi_endo(NU, N) == -4
             if a >= 2:
                 ok &= ("N_dual", "N") in h2 and h2["N_dual", "N"] is None
     report(6, "chi / h^2 endomorphism values", ok)

@@ -18,6 +18,7 @@ from scroll_ulrich import (
     mul_div_div,
     numerical_invariants,
     triple,
+    whitney,
 )
 
 GRID = [
@@ -248,6 +249,22 @@ def test_triple_fully_symmetric(d1, d2, d3, p):
         triple(x, y, z, p) for x, y, z in itertools.permutations([d1, d2, d3])
     }
     assert len(values) == 1
+
+
+@given(st.lists(divisors, max_size=5), params_st)
+@settings(max_examples=60)
+def test_whitney_fold_matches_the_rewriting_oracle(quotients, p):
+    # after k quotients, c_i is the i-th elementary symmetric function of them
+    from itertools import combinations
+
+    steps = list(whitney(p, quotients))
+    assert len(steps) == len(quotients)
+    for k, (c1, c2, c3) in enumerate(steps, start=1):
+        qs = quotients[:k]
+        assert c1 == (sum(q.x for q in qs), sum(q.y for q in qs), sum(q.z for q in qs))
+        pairs = [oracle_mul_div_div(u, v, p) for u, v in combinations(qs, 2)]
+        assert c2 == tuple(sum(col) for col in zip((0, 0, 0), *pairs))
+        assert c3 == sum(oracle_triple(u, v, w, p) for u, v, w in combinations(qs, 3))
 
 
 def test_degree_and_genus_on_grid():

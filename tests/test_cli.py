@@ -256,13 +256,13 @@ _PUBLIC_NAMES = [
     "Codim2Class", "CohomologyVector", "DivisorClass",
     "InstantonTriple", "ModuliPrediction", "Rank2ExtensionRecord", "ScrollParams",
     "TowerBundle", "UlrichLineBundleRecord", "base_swap", "chi",
-    "chi_closed_form", "chi_endo_tower", "chi_endomorphisms_rank2", "chi_tower_vs_line",
-    "classify_ulrich_line_bundles", "enumerate_cases", "extension_chern",
+    "chi_closed_form", "chi_endo_tower", "chi_filtered", "chi_tower_vs_line",
+    "classify_ulrich_line_bundles", "enumerate_cases",
     "h_scroll", "instanton_admissible",
     "is_special_rank2", "is_ulrich_line", "iter_tower", "moduli_dim_gap", "moduli_dim_tower",
     "moduli_predictions", "mul_div_c2", "mul_div_div", "named_line_bundles",
     "numerical_invariants", "pullback_obstruction_report", "serre_dual", "slope",
-    "tower_h1_recursion", "triple", "twisted_chern", "ulrich_dual",
+    "tower_h1_recursion", "triple", "ulrich_dual", "whitney",
 ]
 
 

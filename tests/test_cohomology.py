@@ -27,6 +27,7 @@ from scroll_ulrich import (
     ScrollParams,
     chi,
     chi_closed_form,
+    chi_filtered,
     h_scroll,
     serre_dual,
 )
@@ -182,6 +183,13 @@ def test_serre_dual_map():
 def test_chi_equals_closed_form(p, d):
     # chi is the Riemann-Roch polynomial; the h-vector is a second route to it
     assert h_scroll(p, d).chi == chi(p, d)
+
+
+@given(params_st, st.lists(divisors, max_size=4), divisors)
+@settings(max_examples=100)
+def test_chi_filtered_sums_the_h_vectors_of_the_quotients(p, quotients, line):
+    # chi is additive over a filtration: one h-vector per quotient is a second route
+    assert chi_filtered(p, quotients, line) == sum(h_scroll(p, q - line).chi for q in quotients)
 
 
 @given(params_st, divisors)

@@ -5,15 +5,16 @@ import pytest
 from scroll_ulrich import (
     DivisorClass,
     ScrollParams,
-    chi_endomorphisms_rank2,
+    chi,
+    chi_filtered,
     classify_ulrich_line_bundles,
     enumerate_cases,
-    extension_chern,
     h_scroll,
     instanton_admissible,
     moduli_predictions,
+    mul_div_div,
     named_line_bundles,
-    twisted_chern,
+    whitney,
 )
 from scroll_ulrich import extensions
 from scroll_ulrich.cli import EXIT_OK, main
@@ -65,20 +66,36 @@ def test_ext_asymmetry():
             assert h_scroll(p, f["N"] - f["L"]).h1 == 2 * c - b - 2 > 0
 
 
+def _chern(p, sub, quot):
+    """(c1, c2) of an extension of quot by sub: the Whitney fold over (sub, quot)."""
+    *_, (c1, c2, _) = whitney(p, (sub, quot))
+    return c1, c2
+
+
+def _twisted(p, sub, quot):
+    """(c1, c2) of F(-h): the fold over (sub - h, quot - h)."""
+    return _chern(p, sub - p.h, quot - p.h)
+
+
+def _chi_endo(p, sub, quot):
+    """chi(End F): the pair sum of chi_filtered over the quotients (sub, quot)."""
+    return sum(chi_filtered(p, (sub, quot), t) for t in (sub, quot))
+
+
 def test_extension_chern_examples():
     p = ScrollParams(1, 2, 4)
     f = named_line_bundles(p)
-    c1, c2 = extension_chern(p, f["N_dual"], f["N"])
+    c1, c2 = _chern(p, f["N_dual"], f["N"])
     assert c1 == DivisorClass(2, 2, 4 * 4 - 2 - 1 - 2)
     assert c2.as_tuple() == (4, 2 * (2 * 4 - 2 - 1), 2 * (2 * 4 - 1 - 1))
 
     q = ScrollParams(0, 1, 3)
     g = named_line_bundles(q)
-    _, c2 = extension_chern(q, g["N"], g["L"])
+    _, c2 = _chern(q, g["N"], g["L"])
     assert c2.as_tuple() == (0, 8 * 3 - 4 * 1 - 3, 0)
 
     zero = DivisorClass(0, 0, 0)
-    c1, c2 = extension_chern(q, zero, zero)
+    c1, c2 = _chern(q, zero, zero)
     assert c1 == zero and c2.as_tuple() == (0, 0, 0)
 
 
@@ -86,24 +103,41 @@ def test_twisted_chern_closed_forms():
     for a, b, c in FULL_GRID:
         p = ScrollParams(a, b, c)
         f = named_line_bundles(p)
-        c1_tw, c2_tw = twisted_chern(p, *extension_chern(p, f["N_dual"], f["N"]))
+        c1_tw, c2_tw = _twisted(p, f["N_dual"], f["N"])
         assert c1_tw.as_tuple() == (0, 0, 2 * c - a - b - 2)
         assert c2_tw.as_tuple() == (2, a, b)
         if a == 0:
-            c1_tw, c2_tw = twisted_chern(p, *extension_chern(p, f["L_dual"], f["L"]))
+            c1_tw, c2_tw = _twisted(p, f["L_dual"], f["L"])
             assert c1_tw.as_tuple() == (0, 0, 2 * c - b - 2)
             assert c2_tw.as_tuple() == (0, 0, 2 * c - b)
+
+
+def test_records_read_the_fold_and_the_chi_sum():
+    # the fold over (sub - h, quot - h) is the rank-two twist rule
+    # (c1 - 2h, c2 - c1.h + h^2), and the pair sum is 2 chi(O_X) plus both differences
+    for cell in FULL_GRID[::2]:
+        p = ScrollParams(*cell)
+        h = p.h
+        for r in enumerate_cases(p, classify_ulrich_line_bundles(p)):
+            c1, c2 = _chern(p, r.sub, r.quotient)
+            assert (r.c1, r.c2) == (c1, c2) == (r.sub + r.quotient, mul_div_div(r.sub, r.quotient, p))
+            assert (r.c1_twisted, r.c2_twisted) == _twisted(p, r.sub, r.quotient) == (
+                c1 - 2 * h, c2 - mul_div_div(c1, h, p) + mul_div_div(h, h, p)
+            )
+            assert r.chi_endo == _chi_endo(p, r.sub, r.quotient) == (
+                2 + chi(p, r.sub - r.quotient) + chi(p, r.quotient - r.sub)
+            )
 
 
 def test_chi_endomorphisms():
     q = ScrollParams(0, 1, 3)
     g = named_line_bundles(q)
-    assert chi_endomorphisms_rank2(q, g["L_dual"], g["L"]) == 4 - 4 * (2 * 3 - 1)
+    assert _chi_endo(q, g["L_dual"], g["L"]) == 4 - 4 * (2 * 3 - 1)
     p = ScrollParams(0, 2, 4)
     f = named_line_bundles(p)
-    assert chi_endomorphisms_rank2(p, f["N_dual"], f["N"]) == -4
+    assert _chi_endo(p, f["N_dual"], f["N"]) == -4
     d = DivisorClass(2, 0, 5)
-    assert chi_endomorphisms_rank2(p, d, d) == 4
+    assert _chi_endo(p, d, d) == 4
 
 
 def test_chi_endomorphisms_minus_four_for_positive_a():
@@ -112,7 +146,7 @@ def test_chi_endomorphisms_minus_four_for_positive_a():
             continue
         p = ScrollParams(a, b, c)
         f = named_line_bundles(p)
-        assert chi_endomorphisms_rank2(p, f["N_dual"], f["N"]) == -4
+        assert _chi_endo(p, f["N_dual"], f["N"]) == -4
 
 
 def test_chi_endo_of_dual_pairs_nonpositive_on_grid():
@@ -125,11 +159,9 @@ def test_chi_endo_of_dual_pairs_nonpositive_on_grid():
         if b == 0:
             pairs.append(("M_dual", "M"))
         for s, q in pairs:
-            value = chi_endomorphisms_rank2(p, f[s], f[q])
+            value = _chi_endo(p, f[s], f[q])
             assert value <= 0
             # additivity over the filtration, spelled out
-            from scroll_ulrich import chi
-
             assert value == 2 + chi(p, f[s] - f[q]) + chi(p, f[q] - f[s])
 
 
@@ -204,7 +236,6 @@ def test_involutions_transport_case_data_verbatim():
     # 8<->11 (1, 9, 10 fixed); dual: 3<->6, 4<->5, 8<->11, 9<->10,
     # 12<->15, 13<->14 (1, 2, 7 fixed).
     from scroll_ulrich import ulrich_dual
-    from scroll_ulrich.chow import mul_div_div
 
     p = ScrollParams(0, 0, 2)
     recs = enumerate_cases(p, classify_ulrich_line_bundles(p))

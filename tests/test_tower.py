@@ -183,9 +183,20 @@ def _counted(monkeypatch, module, name):
 
 
 def test_one_whitney_step_per_rank(monkeypatch, capsys):
-    steps = _counted(monkeypatch, tower, "mul_div_c2")
+    # one fold per cell, and the fold yields once per quotient it steps over
+    folds, steps = [], []
+    fold = tower.whitney
+
+    def counted(params, quotients):
+        folds.append(params)
+        for step in fold(params, quotients):
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr(tower, "whitney", counted)
     assert main("tower-report --a 0 --b 1 --c 3 --rmax 50".split()) == 0
     capsys.readouterr()
+    assert len(folds) == 1
     assert len(steps) == 50
 
 

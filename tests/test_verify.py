@@ -351,7 +351,7 @@ def _records_reading(monkeypatch, pick):
     monkeypatch.setattr(extensions, "build_extension_record", miswired)
 
 
-def test_ext1_dim_reversed_is_caught(monkeypatch, capsys):
+def test_ext_dim_read_off_quot_minus_sub_is_caught(monkeypatch, capsys):
     # the records read ext^1 off the reversed difference class quot - sub
     _records_reading(monkeypatch, lambda forward, backward: (backward, forward))
     assert {"ext-N-NU", "ext-NU-N"} <= _cli_failures((1, 2, 4), capsys)
@@ -602,23 +602,54 @@ def test_miswired_record_field_is_caught(monkeypatch, capsys, field, value, rows
 
 
 def test_chi_endo_plus_one_fails_the_moduli_dimensions(monkeypatch, capsys):
-    original = extensions.chi_endomorphisms_rank2
-    _patch_everywhere(monkeypatch, original, lambda p, s, q: original(p, s, q) + 1)
+    # the chi sum one too high against the first quotient: chi(End F) + 1 for every F
+    original = cohomology.chi_filtered
+    _patch_everywhere(monkeypatch, original, lambda p, qs, t: original(p, qs, t) + (t == qs[0]))
     assert {"moduli-case1", "moduli-case2"} <= _cli_failures((0, 1, 3), capsys)
 
 
 @pytest.mark.parametrize("cell", [(0, 0, 2), (1, 0, 3)])
 def test_case7_chi_endo_minus_one_is_caught(monkeypatch, capsys, cell):
     # chi(End F) lowered for the M pair alone: case 7, at b = 0
-    original = extensions.chi_endomorphisms_rank2
+    original = cohomology.chi_filtered
     named = ulrich.named_line_bundles
 
-    def mutant(p, s, q):
+    def mutant(p, qs, t):
         forms = named(p)
-        return original(p, s, q) - ({s, q} == {forms.get("M"), forms.get("M_dual")})
+        m_pair = set(qs) == {forms.get("M"), forms.get("M_dual")}
+        return original(p, qs, t) - (m_pair and t == qs[0])
 
     _patch_everywhere(monkeypatch, original, mutant)
     assert {"endo-case7-chi", "moduli-case7"} <= _cli_failures(cell, capsys)
+
+
+def test_fold_with_a_quotient_repeated_is_caught(monkeypatch, capsys):
+    # the Whitney fold reads its first quotient twice and drops the last
+    original = chow.whitney
+    _patch_everywhere(monkeypatch, original,
+                      lambda params, qs: original(params, (qs[0], *qs[:-1])))
+    assert "tower-closed-forms" in _cli_failures((0, 1, 3), capsys)
+
+
+def test_pair_sum_without_its_diagonal_is_caught(monkeypatch, capsys):
+    # the chi sum skips the quotients equal to the line: no chi(O_X) terms in chi(End)
+    original = cohomology.chi_filtered
+    _patch_everywhere(monkeypatch, original,
+                      lambda p, qs, t: original(p, [q for q in qs if q != t], t))
+    assert "endo-case1-chi" in _cli_failures((0, 1, 3), capsys)
+
+
+@pytest.mark.parametrize("c", [1, 4, 7])
+def test_case9_special_negated_is_caught(monkeypatch, capsys, c):
+    # case 9 is its own swap image and case 10 its dual: only moduli-case9 reads it
+    original = extensions.build_extension_record
+
+    def mutant(params, *args):
+        r = original(params, *args)
+        return r._replace(special=not r.special) if r.case_id == 9 else r
+
+    _patch_everywhere(monkeypatch, original, mutant)
+    assert _cli_failures((0, 0, c), capsys) == {"moduli-case9"}
 
 
 def test_smoothness_claimed_where_h2_endo_is_nonzero_is_caught(monkeypatch, capsys):
