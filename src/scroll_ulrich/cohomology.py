@@ -39,7 +39,9 @@ The strips x = -1 and y = -1 are answered before the scroll layer: each is a
 relative O(-1) for one of the two scroll structures (X is also a P^1-bundle
 over F_b, with x and y swapped), so all its cohomology vanishes and h_scroll
 returns ZERO_COHOMOLOGY.  Both Serre steps keep the class off the strips,
-so the surface layer never sees alpha = -1.
+so the surface layer never sees alpha = -1.  h_scroll reads the class and the
+parameters by unpacking and builds its vector from one 4-tuple by
+tuple.__new__, the idiom of the hot loops that chow's docstring states.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from typing import NamedTuple
 
-from .chow import DivisorClass, ScrollParams
+from .chow import DivisorClass, ScrollParams, _new
 
 
 class CohomologyVector(NamedTuple):
@@ -104,16 +106,20 @@ def _h_scroll(a: int, b: int, x: int, y: int, z: int) -> CohomologyVector:
         beta = beta0 + j * step
         top += _clipped_series(beta + 1, a, n)
         h1 += _clipped_series(alpha * a - beta - 1, a, n)
-    h = (top, h1, 0) if y >= 0 else (0, h1, top)
-    return CohomologyVector(0, *h[::-1]) if dual else CohomologyVector(*h, 0)
+    if y >= 0:
+        h = (0, 0, h1, top) if dual else (top, h1, 0, 0)
+    else:
+        h = (0, top, h1, 0) if dual else (0, h1, top, 0)
+    return _new(CohomologyVector, h)
 
 
 def h_scroll(params: ScrollParams, div: DivisorClass) -> CohomologyVector:
     """h^i(X, O(x, y, z)) for any integer divisor class."""
-    x, y = div.x, div.y
+    x, y, z = div
     if x == -1 or y == -1:
         return ZERO_COHOMOLOGY
-    return _h_scroll(params.a, params.b, x, y, div.z)
+    a, b, _ = params
+    return _h_scroll(a, b, x, y, z)
 
 
 def twice_chi(a: int, b: int, x: int, y: int, z: int) -> int:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chow import Codim2Class, DivisorClass, ScrollParams, triple
+from .chow import Codim2Class, DivisorClass, ScrollParams, _new, triple
 from .cohomology import ZERO_COHOMOLOGY, h_scroll, twice_chi
 
 DUAL_TAG = {
@@ -77,7 +77,7 @@ def is_ulrich_line(params: ScrollParams, div: DivisorClass) -> bool:
         if twice_chi(a, b, x - j, y - j, z - j * c):
             return False
     for j in (1, 2, 3):
-        if h_scroll(params, DivisorClass(x - j, y - j, z - j * c)) != ZERO_COHOMOLOGY:
+        if h_scroll(params, _new(DivisorClass, (x - j, y - j, z - j * c))) != ZERO_COHOMOLOGY:
             return False
     return True
 
@@ -137,7 +137,7 @@ def classify_ulrich_line_bundles(params: ScrollParams) -> list[UlrichLineBundleR
     for x in range(3):
         for y in range(3):
             for z in window:
-                div = DivisorClass(x, y, z)
+                div = _new(DivisorClass, (x, y, z))
                 if is_ulrich_line(params, div):
                     tag = by_triple.get(div, "other")
                     records.append(UlrichLineBundleRecord(div, tag, ulrich_dual(params, div)))

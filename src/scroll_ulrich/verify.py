@@ -33,7 +33,15 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chow import Codim2Class, DivisorClass, ScrollParams, mul_div_div, numerical_invariants, triple
+from .chow import (
+    Codim2Class,
+    DivisorClass,
+    ScrollParams,
+    _new,
+    mul_div_div,
+    numerical_invariants,
+    triple,
+)
 from .cohomology import chi_closed_form, h_scroll, serre_dual
 from .extensions import (
     CASE_OF_PAIR,
@@ -102,7 +110,8 @@ class _Collector:
 
     def check(self, name: str, ok: bool, detail: str = ""):
         """One row; `detail` says what failed, so a passing row keeps none."""
-        self.results.append(CheckResult(*self.cell, name, bool(ok), "" if ok else detail))
+        a, b, c = self.cell
+        self.results.append(_new(CheckResult, (a, b, c, name, bool(ok), "" if ok else detail)))
 
     def equal(self, name: str, got, want):
         self.check(name, got == want, f"got {got}, want {want}" if got != want else "")
@@ -115,7 +124,7 @@ class _Collector:
 
 def _l_root(params: ScrollParams, x: int, y: int, j: int) -> int:
     """The root in z of L_j (verify_scan_bounds), rounded down at a half-integer."""
-    a, b, c = params.a, params.b, params.c
+    a, b, c = params
     return (b * x + a * y - 2 - j * (a + b - 2 * c)) // 2
 
 
@@ -255,7 +264,7 @@ def cohomology_failures(params: ScrollParams) -> Failures:
         for y in range(-reach, reach + 1):
             lo, hi = _walls(a, b, x, y)
             for z in range(lo - 1, hi + 2):
-                div = DivisorClass(x, y, z)
+                div = _new(DivisorClass, (x, y, z))
                 vec = h(div)
                 h0, h1, h2, h3 = vec
                 if h0 - h1 + h2 - h3 != chi_closed_form(params, div):
@@ -266,7 +275,7 @@ def cohomology_failures(params: ScrollParams) -> Failures:
                     failures.append(("cohomology-vanishing-strip", div))
                 edge = min(max(z, lo), hi)  # z, or the wall next to an outer point
                 falls = edge != z and any(  # some h^i falls from the wall to this outer point
-                    u < v for u, v in zip(vec, h(DivisorClass(x, y, edge))))
+                    u < v for u, v in zip(vec, h(_new(DivisorClass, (x, y, edge)))))
                 if min(vec) < 0 or (x >= 0 and h3 != 0) or falls:
                     failures.append(("cohomology-degree-bounds", div))
     return failures
@@ -284,12 +293,21 @@ def _expected_cases(params: ScrollParams) -> set[int]:
     return {case for pair, case in CASE_OF_PAIR.items() if pair <= tags}
 
 
+# The fields of a record that read End F alone.  Ulrich duality maps F to
+# F^dual(K_X + 4h), whose End is End(F)^dual = End F, and keeps the class
+# sub - quot whose h^2 decides a refusal; the base swap is an isomorphism.  So
+# both involutions preserve each of them, a refused h2_endo (None) included.
+_END_FIELDS = ("chi_endo", "h2_endo", "special")
+
+
 def _check_involution_orbits(
     params: ScrollParams, records: Records, swapped_records: Records
 ) -> Iterator[str]:
     """Yield a message for each failure of the case set or of an involution transport.
 
     `records`, `swapped_records`: enumerate_cases of params and params.swapped().
+    Both involutions transport ext^1, c1, c2 and the _END_FIELDS; the swap also
+    its tags.
     """
     by_pair = {(r.sub, r.quotient): r for r in records}
 
@@ -313,6 +331,7 @@ def _check_involution_orbits(
             yield f"c1 not transported by Ulrich duality at {params}"
         if image.c2 != mul_div_div(kx4h, kx4h, params) - mul_div_div(kx4h, r.c1, params) + r.c2:
             yield f"c2 not transported by Ulrich duality at {params}"
+        yield from _end_fields_kept(r, image, f"Ulrich duality at {params}")
 
     # Base swap: compare against the records of the swapped scroll structure.
     swapped_by_pair = {(r.sub, r.quotient): r for r in swapped_records}
@@ -331,6 +350,15 @@ def _check_involution_orbits(
             yield f"c1 not transported by the base swap at {params}"
         if image.c2 != r.c2.swapped():
             yield f"c2 not transported by the base swap at {params}"
+        yield from _end_fields_kept(r, image, f"the base swap at {params}")
+
+
+def _end_fields_kept(
+    r: Rank2ExtensionRecord, image: Rank2ExtensionRecord, by: str
+) -> Iterator[str]:
+    for field in _END_FIELDS:
+        if getattr(image, field) != getattr(r, field):
+            yield f"{field} of case {r.case_id} not preserved by {by}"
 
 
 def _read(rec: ByTags, sub_tag: str, quot_tag: str, field: str):

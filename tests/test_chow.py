@@ -195,6 +195,14 @@ def test_arithmetic_builds_fresh_instances_of_its_class(pair, n):
         assert got._fields == fresh._fields and got._asdict() == fresh._asdict()
 
 
+def test_products_skip_the_constructor(constructor_calls):
+    # mul_div_div builds its class by tuple.__new__, as the class arithmetic does
+    calls = constructor_calls(Codim2Class)
+    s = mul_div_div(DivisorClass(1, 2, 3), DivisorClass(-4, 0, 5), ScrollParams(1, 2, 4))
+    assert calls == []
+    assert type(s) is Codim2Class and repr(s) == "Codim2Class(p=-8, q=1, r=10)"
+
+
 @given(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 9)))
 def test_params_still_validate_every_route(abc):
     a, b, c = abc

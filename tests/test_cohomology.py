@@ -294,17 +294,31 @@ def test_h_scroll_keeps_no_state(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-@pytest.mark.parametrize("x, y, z", [(4, 2, 5), (3, -4, 5), (-7, 3, 1), (-5, -6, 1)])
+# One class of each sign branch of h_scroll: x >= 0 or x <= -2, crossed with
+# y >= 0 or y <= -2.
+ONE_CLASS_PER_BRANCH = [(4, 2, 5), (3, -4, 5), (-7, 3, 1), (-5, -6, 1)]
+
+
+@pytest.mark.parametrize("x, y, z", ONE_CLASS_PER_BRANCH)
 def test_each_class_is_normalised_once(monkeypatch, x, y, z):
-    # one class of each branch (x >= 0 or x <= -2, crossed with y >= 0 or
-    # y <= -2): the scroll layer is entered once, so a class with x <= -2 is
-    # dualised once, and each term of the normalised j-loop costs two series
+    # the scroll layer is entered once, so a class with x <= -2 is dualised
+    # once, and each term of the normalised j-loop costs two series
     entries = _count_calls(monkeypatch, "_h_scroll")
     series = _count_calls(monkeypatch, "_clipped_series")
     h_scroll(ScrollParams(1, 2, 4), DivisorClass(x, y, z))
     x_normalised = x if x >= 0 else -2 - x
     assert len(entries) == 1
     assert len(series) == 2 * (x_normalised + 1)
+
+
+@pytest.mark.parametrize("x, y, z", ONE_CLASS_PER_BRANCH)
+def test_h_scroll_skips_the_constructor(constructor_calls, x, y, z):
+    # the vector is built from one 4-tuple by tuple.__new__; it must not show it
+    calls = constructor_calls(CohomologyVector)
+    vec = h_scroll(ScrollParams(1, 2, 4), DivisorClass(x, y, z))
+    assert calls == []
+    assert type(vec) is CohomologyVector and vec._fields == ("h0", "h1", "h2", "h3")
+    assert vec != ZERO_COHOMOLOGY and vec.chi == chi(ScrollParams(1, 2, 4), DivisorClass(x, y, z))
 
 
 def test_strips_never_reach_the_scroll_layer(monkeypatch):

@@ -186,6 +186,19 @@ def test_h_scroll_calls_do_not_depend_on_c(monkeypatch, a, b):
     assert len(counts) == 1
 
 
+@pytest.mark.parametrize("a, b", sorted(NUMERICAL_NON_ULRICH_CALLS))
+def test_scan_builds_no_class_per_z(constructor_calls, a, b):
+    # the scan builds each D and each D - jh by tuple.__new__: the constructor
+    # builds the named forms and h and K_X, as many at c = 1000 as at c = 10
+    calls = constructor_calls(DivisorClass)
+    counts = []
+    for c in (10, 1000):
+        calls.clear()
+        classify_ulrich_line_bundles(ScrollParams(a, b, c))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_scan_bound_reverification():
     for cell in [(0, 0, 1), (0, 2, 3), (1, 1, 3), (2, 3, 6)]:
         assert verify_scan_bounds(ScrollParams(*cell))

@@ -146,12 +146,19 @@ def test_scan_bound_certificate_is_constant_size(monkeypatch, c):
 
 
 def _patch_everywhere(monkeypatch, original, replacement):
-    """Replace `original` under every scroll_ulrich module name bound to it."""
+    """Replace `original` under every scroll_ulrich module name bound to it.
+
+    Fails when no module binds it: a control that patches nothing mutates nothing.
+    """
+    patched = False
     for name, module in list(sys.modules.items()):
         if name.startswith("scroll_ulrich") and (
             getattr(module, original.__name__, None) is original
         ):
             monkeypatch.setattr(module, original.__name__, replacement)
+            patched = True
+    if not patched:
+        pytest.fail(f"no scroll_ulrich module binds {original.__name__} to {original!r}")
 
 
 def test_each_triple_is_classified_once(monkeypatch):
@@ -641,7 +648,8 @@ def test_pair_sum_without_its_diagonal_is_caught(monkeypatch, capsys):
 
 @pytest.mark.parametrize("c", [1, 4, 7])
 def test_case9_special_negated_is_caught(monkeypatch, capsys, c):
-    # case 9 is its own swap image and case 10 its dual: only moduli-case9 reads it
+    # case 9 is its own swap image and case 10 its dual: moduli-case9 reads it in
+    # closed form, and the Ulrich-dual transport against case 10
     original = extensions.build_extension_record
 
     def mutant(params, *args):
@@ -649,7 +657,39 @@ def test_case9_special_negated_is_caught(monkeypatch, capsys, c):
         return r._replace(special=not r.special) if r.case_id == 9 else r
 
     _patch_everywhere(monkeypatch, original, mutant)
-    assert _cli_failures((0, 0, c), capsys) == {"moduli-case9"}
+    assert _cli_failures((0, 0, c), capsys) == {"moduli-case9", "ext-involution-orbits"}
+
+
+# A field of End F one too high on the records of one case (ROADMAP item 16's probe):
+# no closed-form row reads it there, so only the transport along the involutions can.
+_END_FIELD_SLIPS = {
+    "case3-chi-endo": (3, "chi_endo", (0, 1, 3)),
+    "case12-chi-endo": (12, "chi_endo", (1, 0, 3)),
+    "case13-h2-endo": (13, "h2_endo", (1, 0, 3)),
+}
+
+
+@pytest.mark.parametrize("case, field, cell", _END_FIELD_SLIPS.values(), ids=_END_FIELD_SLIPS)
+def test_end_field_plus_one_on_one_case_fails_the_transport(monkeypatch, capsys, case, field, cell):
+    original = extensions.build_extension_record
+
+    def mutant(params, *args):
+        r = original(params, *args)
+        return r._replace(**{field: getattr(r, field) + 1}) if r.case_id == case else r
+
+    _patch_everywhere(monkeypatch, original, mutant)
+    assert _cli_failures(cell, capsys) == {"ext-involution-orbits"}
+
+
+def test_patching_an_unbound_name_fails_the_control(monkeypatch):
+    # a wrapper under another name is bound nowhere: the control must not pass silently
+    original = extensions.build_extension_record
+
+    def renamed(params, *args):
+        return original(params, *args)
+
+    with pytest.raises(pytest.fail.Exception, match="binds renamed"):
+        _patch_everywhere(monkeypatch, renamed, original)
 
 
 def test_smoothness_claimed_where_h2_endo_is_nonzero_is_caught(monkeypatch, capsys):
