@@ -28,9 +28,10 @@ certifies their transport.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
-from .chow import Codim2Class, DivisorClass, ScrollParams, whitney
+from .chow import Codim2Class, DivisorClass, ScrollParams, _new, whitney
 from .cohomology import CohomologyVector, chi_filtered, h_scroll
 from .ulrich import (
     DUAL_TAG,
@@ -61,6 +62,9 @@ CASE_OF_PAIR = {
     frozenset({"N_dual", "M_dual"}): 15,
 }
 PAIR_OF_CASE = {k: v for v, k in CASE_OF_PAIR.items()}
+# Ordered tag pairs -> case: both orders of each pair, so a record builds no frozenset.
+_CASE_OF_TAGS = {(s, q): case for pair, case in CASE_OF_PAIR.items() for s in pair for q in pair
+                 if s != q}
 
 
 def _image(tags: dict[str, str], case: int) -> int:
@@ -134,27 +138,33 @@ def build_extension_record(
     sub_minus_quot: CohomologyVector,
     quot_minus_sub: CohomologyVector,
 ) -> Rank2ExtensionRecord:
-    """The record of (sub, quot); the last two are h_scroll of sub - quot and quot - sub."""
+    """The record of (sub, quot); the last two are h_scroll of sub - quot and quot - sub.
+
+    Built positionally by tuple.__new__, the idiom of chow's docstring, in the
+    field order of Rank2ExtensionRecord.
+    """
+    h = params.h
     pair = (sub, quot)
     *_, (c1, c2, _) = whitney(params, pair)
-    *_, (c1_tw, c2_tw, _) = whitney(params, (sub - params.h, quot - params.h))  # F(-h)
-    return Rank2ExtensionRecord(
-        sub=sub,
-        quotient=quot,
-        sub_tag=sub_tag,
-        quot_tag=quot_tag,
-        case_id=CASE_OF_PAIR[frozenset({sub_tag, quot_tag})],
-        ext_dim=sub_minus_quot.h1,  # ext^1(quot, sub) = h^1(sub - quot)
-        c1=c1,
-        c2=c2,
-        chi_endo=chi_filtered(params, pair, sub) + chi_filtered(params, pair, quot),
+    *_, (c1_tw, c2_tw, _) = whitney(params, (sub - h, quot - h))  # F(-h)
+    _, ext_dim, h2_sub_quot, _ = sub_minus_quot  # ext^1(quot, sub) = h^1(sub - quot)
+    return _new(Rank2ExtensionRecord, (
+        sub,
+        quot,
+        sub_tag,
+        quot_tag,
+        _CASE_OF_TAGS[sub_tag, quot_tag],
+        ext_dim,
+        c1,
+        c2,
+        chi_filtered(params, pair, sub) + chi_filtered(params, pair, quot),
         # h^2(End F) = h^2(quot - sub), where h^2(sub - quot) vanishes
-        h2_endo=quot_minus_sub.h2 if sub_minus_quot.h2 == 0 else None,
-        special=is_special_rank2(params, c1),
-        c1_twisted=c1_tw,
-        c2_twisted=c2_tw,
-        obstruction=pullback_obstruction_report(c2_tw),
-    )
+        quot_minus_sub.h2 if h2_sub_quot == 0 else None,
+        is_special_rank2(params, c1),
+        c1_tw,
+        c2_tw,
+        pullback_obstruction_report(c2_tw),
+    ))
 
 
 def enumerate_cases(
@@ -181,7 +191,7 @@ def enumerate_cases(
         )
         for s, q in pairs
     ]
-    records.sort(key=lambda r: (r.case_id, r.sub, r.quotient))
+    records.sort(key=itemgetter(4, 0, 1))  # (case_id, sub, quotient)
     return records
 
 

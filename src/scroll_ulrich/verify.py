@@ -6,11 +6,11 @@ command renders them and sets the exit code.  A claim of one part is one
 messages, which `_Collector.first` turns into one row that fails with the
 first message, so a defect fails a row and never stops the run.  Cell
 checks run per parameter triple, one cell after another in one process; the
-fixed-grid checks (cohomology box at representative parameters, tower,
-instanton) run once.  The cohomology box reads (a, b) and not c, so
-`run_grid` sweeps it once per (a, b) (`cohomology_failures`), and every
-cell and representative row of that family reads its first failures from
-that sweep.
+fixed-grid checks (cohomology box at representative parameters, tower, the
+tower hypothesis, instanton) run once.  The cohomology box reads (a, b) and
+not c, so `run_grid` sweeps it once per (a, b) (`cohomology_failures`), and
+every cell and representative row of that family reads its first failures
+from that sweep.
 
 The library computes and this module checks what it computed: the cell
 rows of the Ulrich dual and of the rank-two invariants read the records
@@ -24,13 +24,27 @@ one copy of the L_j root), the involution transport of the extension records
 (`ext-involution-orbits`), the closed forms of the rank-two invariants and
 of the moduli dimensions, and the closed forms of the extension tower with
 their certificate (`tower-closed-forms`, with the one copy of the h^1
-closed form).
+closed form) and the bound of its hypothesis (`tower-hypothesis`: both h^1
+seeds equal 3 on a <= b exactly where in_tower_hypothesis holds).
+
+The transport reaches every value field of a record.  Ulrich duality maps
+the record of (sub, quot) to that of (quot^U, sub^U) and F to
+F^dual(K_X + 4h): it keeps ext^1 and the fields of End F (chi_endo,
+h2_endo, special), moves c1 and c2 by the rule of a dual twisted by
+K_X + 4h, and the twisted classes by the same rule with K_X + 2h, since
+F^U(-h) = (F(-h))^dual(K_X + 2h).  The base swap keeps ext^1 and the End
+fields, maps the tags by SWAP_TAG and every class by .swapped(), and
+exchanges the two obstruction flags, since it exchanges the two bases.
+Duality leaves the obstruction flags out: they held on every record of a
+probe, but no argument for them is written down, and the swap pins each
+flag against a second record already.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .chow import (
@@ -55,6 +69,7 @@ from .extensions import (
 from .tower import (
     chi_endo_tower,
     chi_tower_vs_line,
+    in_tower_hypothesis,
     iter_tower,
     moduli_dim_gap,
     moduli_dim_tower,
@@ -114,7 +129,8 @@ class _Collector:
         self.results.append(_new(CheckResult, (a, b, c, name, bool(ok), "" if ok else detail)))
 
     def equal(self, name: str, got, want):
-        self.check(name, got == want, f"got {got}, want {want}" if got != want else "")
+        ok = got == want
+        self.check(name, ok, "" if ok else f"got {got}, want {want}")
 
     def first(self, name: str, failures: Iterable[str]):
         """One row for a claim of many parts; reads `failures` up to its first message."""
@@ -154,7 +170,7 @@ def verify_scan_bounds(params: ScrollParams) -> bool:
     border = [(x, y) for x in (-1, 3) for y in range(3)]
     border += [(x, y) for y in (-1, 3) for x in range(3)]
     return a + b - 2 * c != 0 and inside and not any(
-        is_ulrich_line(params, DivisorClass(x, y, _l_root(params, x, y, j)))
+        is_ulrich_line(params, _new(DivisorClass, (x, y, _l_root(params, x, y, j))))
         for x, y in border for j in (1, 2, 3)
     )
 
@@ -246,37 +262,49 @@ def cohomology_failures(params: ScrollParams) -> Failures:
     Each class is evaluated once: a table local to this call keeps the vector
     of every class the sweep has asked for, keyed by the class, so a box point
     that returns as another point's Serre image (looked up by what serre_dual
-    returns) or as its line's wall is read from the table.  The table is
-    dropped when the call returns.
+    returns) or as its line's wall is read from the table.  Each of the three
+    classes of a point (the point, its Serre image and, at an outer point, the
+    wall next to it) is one read of the table through its bound get, and each
+    vector is unpacked once: the claims are tested on the four ints.  The
+    table is dropped when the call returns.
     """
     a, b = params.a, params.b
     reach = 5 if (a, b) in _REPRESENTATIVE_FAMILIES else 3
     vectors = {}
-
-    def h(div: DivisorClass):
-        vec = vectors.get(div)
-        if vec is None:
-            vec = vectors[div] = h_scroll(params, div)
-        return vec
+    get = vectors.get
 
     failures = []
     for x in range(-reach, reach + 1):
         for y in range(-reach, reach + 1):
             lo, hi = _walls(a, b, x, y)
+            strip = x == -1 or y == -1
             for z in range(lo - 1, hi + 2):
                 div = _new(DivisorClass, (x, y, z))
-                vec = h(div)
+                vec = get(div)
+                if vec is None:
+                    vec = vectors[div] = h_scroll(params, div)
                 h0, h1, h2, h3 = vec
                 if h0 - h1 + h2 - h3 != chi_closed_form(params, div):
                     failures.append(("cohomology-chi-oracle", div))
-                if (h3, h2, h1, h0) != h(serre_dual(params, div)):
+                dual = serre_dual(params, div)
+                vec = get(dual)
+                if vec is None:
+                    vec = vectors[dual] = h_scroll(params, dual)
+                if (h3, h2, h1, h0) != vec:
                     failures.append(("cohomology-serre-duality", div))
-                if (x == -1 or y == -1) and any(vec):
+                if strip and (h0 or h1 or h2 or h3):
                     failures.append(("cohomology-vanishing-strip", div))
-                edge = min(max(z, lo), hi)  # z, or the wall next to an outer point
-                falls = edge != z and any(  # some h^i falls from the wall to this outer point
-                    u < v for u, v in zip(vec, h(_new(DivisorClass, (x, y, edge)))))
-                if min(vec) < 0 or (x >= 0 and h3 != 0) or falls:
+                # at an outer point, some h^i falls from the wall next to it
+                falls = False
+                if z < lo or z > hi:
+                    wall = _new(DivisorClass, (x, y, lo if z < lo else hi))
+                    vec = get(wall)
+                    if vec is None:
+                        vec = vectors[wall] = h_scroll(params, wall)
+                    w0, w1, w2, w3 = vec
+                    falls = h0 < w0 or h1 < w1 or h2 < w2 or h3 < w3
+                if (h0 < 0 or h1 < 0 or h2 < 0 or h3 < 0 or (x >= 0 and h3 != 0)
+                        or falls):
                     failures.append(("cohomology-degree-bounds", div))
     return failures
 
@@ -298,6 +326,7 @@ def _expected_cases(params: ScrollParams) -> set[int]:
 # sub - quot whose h^2 decides a refusal; the base swap is an isomorphism.  So
 # both involutions preserve each of them, a refused h2_endo (None) included.
 _END_FIELDS = ("chi_endo", "h2_endo", "special")
+_end_fields = attrgetter(*_END_FIELDS)
 
 
 def _check_involution_orbits(
@@ -306,8 +335,9 @@ def _check_involution_orbits(
     """Yield a message for each failure of the case set or of an involution transport.
 
     `records`, `swapped_records`: enumerate_cases of params and params.swapped().
-    Both involutions transport ext^1, c1, c2 and the _END_FIELDS; the swap also
-    its tags.
+    The fields each involution transports are listed in the module docstring.
+    K_X + 4h, K_X + 2h, their squares and the dual and swap image of each
+    bundle are computed once per cell, not once per record.
     """
     by_pair = {(r.sub, r.quotient): r for r in records}
 
@@ -317,9 +347,14 @@ def _check_involution_orbits(
         yield f"cases {sorted(seen_cases)} != expected {sorted(expected)} at {params}"
 
     kx4h = params.canonical + 4 * params.h
+    kx2h = params.canonical + 2 * params.h
+    twice_kx4h, kx4h_sq = 2 * kx4h, mul_div_div(kx4h, kx4h, params)
+    twice_kx2h, kx2h_sq = 2 * kx2h, mul_div_div(kx2h, kx2h, params)
+    bundles = {d for pair in by_pair for d in pair}
+    dual = {d: ulrich_dual(params, d) for d in bundles}
     for r in records:
         # Ulrich duality: Ext^1(A, B) = Ext^1(B^U, A^U).
-        image = by_pair.get((ulrich_dual(params, r.quotient), ulrich_dual(params, r.sub)))
+        image = by_pair.get((dual[r.quotient], dual[r.sub]))
         if image is None:
             yield f"dual image of case {r.case_id} missing at {params}"
             continue
@@ -327,16 +362,21 @@ def _check_involution_orbits(
             yield f"dual image of case {r.case_id} leaves its orbit"
         if image.ext_dim != r.ext_dim:
             yield f"ext^1 not preserved by Ulrich duality at {params}"
-        if image.c1 != 2 * kx4h - r.c1:
+        if image.c1 != twice_kx4h - r.c1:
             yield f"c1 not transported by Ulrich duality at {params}"
-        if image.c2 != mul_div_div(kx4h, kx4h, params) - mul_div_div(kx4h, r.c1, params) + r.c2:
+        if image.c2 != kx4h_sq - mul_div_div(kx4h, r.c1, params) + r.c2:
             yield f"c2 not transported by Ulrich duality at {params}"
-        yield from _end_fields_kept(r, image, f"Ulrich duality at {params}")
+        yield from _end_fields_kept(r, image, "Ulrich duality", params)
+        if image.c1_twisted != twice_kx2h - r.c1_twisted:
+            yield f"c1_twisted not transported by Ulrich duality at {params}"
+        if image.c2_twisted != kx2h_sq - mul_div_div(kx2h, r.c1_twisted, params) + r.c2_twisted:
+            yield f"c2_twisted not transported by Ulrich duality at {params}"
 
     # Base swap: compare against the records of the swapped scroll structure.
     swapped_by_pair = {(r.sub, r.quotient): r for r in swapped_records}
+    swap = {d: d.swapped() for d in bundles}
     for r in records:
-        image = swapped_by_pair.get((r.sub.swapped(), r.quotient.swapped()))
+        image = swapped_by_pair.get((swap[r.sub], swap[r.quotient]))
         if image is None:
             yield f"swap image of case {r.case_id} missing at {params}"
             continue
@@ -350,15 +390,24 @@ def _check_involution_orbits(
             yield f"c1 not transported by the base swap at {params}"
         if image.c2 != r.c2.swapped():
             yield f"c2 not transported by the base swap at {params}"
-        yield from _end_fields_kept(r, image, f"the base swap at {params}")
+        yield from _end_fields_kept(r, image, "the base swap", params)
+        if image.c1_twisted != r.c1_twisted.swapped():
+            yield f"c1_twisted not transported by the base swap at {params}"
+        if image.c2_twisted != r.c2_twisted.swapped():
+            yield f"c2_twisted not transported by the base swap at {params}"
+        from_a, from_b = r.obstruction
+        if image.obstruction != (from_b, from_a):
+            yield f"obstruction of case {r.case_id} not exchanged by the base swap at {params}"
 
 
 def _end_fields_kept(
-    r: Rank2ExtensionRecord, image: Rank2ExtensionRecord, by: str
+    r: Rank2ExtensionRecord, image: Rank2ExtensionRecord, by: str, params: ScrollParams
 ) -> Iterator[str]:
+    if _end_fields(image) == _end_fields(r):  # one read of the three fields when all hold
+        return
     for field in _END_FIELDS:
         if getattr(image, field) != getattr(r, field):
-            yield f"{field} of case {r.case_id} not preserved by {by}"
+            yield f"{field} of case {r.case_id} not preserved by {by} at {params}"
 
 
 def _read(rec: ByTags, sub_tag: str, quot_tag: str, field: str):
@@ -584,8 +633,9 @@ def run_grid(cells: Iterable[tuple[int, int, int]]) -> list[CheckResult]:
         results.extend(run_cell_checks(cell, swept[cell[:2]]))
     results.extend(run_cohomology_box_checks(swept))
     results.extend(run_tower_checks())
+    results.extend(run_tower_hypothesis_checks())
     results.extend(run_instanton_checks())
-    results.sort(key=lambda r: (r.a, r.b, r.c, r.check))
+    results.sort(key=itemgetter(0, 1, 2, 3))  # (a, b, c, check)
     return results
 
 
@@ -625,6 +675,12 @@ def _closed_c3(params: ScrollParams, r: int) -> int:
     return r * r * (r - 2) * g1
 
 
+def _tower_seeds(params: ScrollParams) -> tuple[int, int]:
+    """h^1(N^U - N) and h^1(N - N^U), the seeds of the tower's h^1 sequence."""
+    n_dual, n = tower_pair(params)
+    return h_scroll(params, n_dual - n).h1, h_scroll(params, n - n_dual).h1
+
+
 def _check_tower(params: ScrollParams) -> Iterator[str]:
     """Yield a message for each tower value that misses its closed form."""
 
@@ -633,8 +689,7 @@ def _check_tower(params: ScrollParams) -> Iterator[str]:
             yield f"tower {what}: got {got}, want {want} at {params}"
 
     n_dual, n = tower_pair(params)
-    seeds = (h_scroll(params, n_dual - n).h1, h_scroll(params, n - n_dual).h1)
-    yield from expect("h^1 seeds", seeds, (3, 3))
+    yield from expect("h^1 seeds", _tower_seeds(params), (3, 3))
     h1 = tower_h1_recursion(params, TOWER_RANKS)
     _, d, g = numerical_invariants(params)
     mu = Fraction(d + g - 1)
@@ -692,6 +747,23 @@ def run_tower_checks() -> list[CheckResult]:
                 col = _Collector(a, b, c)
                 col.first("tower-closed-forms", _check_tower(ScrollParams(a, b, c)))
                 out.extend(col.results)
+    return out
+
+
+def run_tower_hypothesis_checks() -> list[CheckResult]:
+    """`tower-hypothesis` on the 9 cells a, b <= 2, c = a + b + 1.
+
+    in_tower_hypothesis (0 <= a <= b <= 1) holds exactly where both h^1 seeds
+    equal 3 and a <= b; the grid crosses its boundary in a and in b.
+    """
+    out = []
+    for a in range(3):
+        for b in range(3):
+            params = ScrollParams(a, b, a + b + 1)
+            col = _Collector(*params)
+            col.equal("tower-hypothesis", in_tower_hypothesis(params),
+                      _tower_seeds(params) == (3, 3) and a <= b)
+            out.extend(col.results)
     return out
 
 

@@ -374,3 +374,12 @@ def test_instanton_constraint_and_dims():
             assert t.c2_after_twist == (t.k1 + 4 * c - 2, t.k2 + 4 * c - 2, t.k3 + 2)
     with pytest.raises(ValueError):
         instanton_admissible(0)
+
+
+def test_records_skip_the_constructor(constructor_calls):
+    # build_extension_record builds each record by tuple.__new__, in field order
+    calls = constructor_calls(extensions.Rank2ExtensionRecord)
+    p = ScrollParams(0, 0, 3)
+    records = enumerate_cases(p, classify_ulrich_line_bundles(p))
+    assert len(records) == 30 and calls == []
+    assert all(type(r) is extensions.Rank2ExtensionRecord for r in records)

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from scroll_ulrich import ScrollParams, classify_ulrich_line_bundles, enumerate_cases, verify
-from scroll_ulrich import chow, cohomology, extensions, ulrich
+from scroll_ulrich import chow, cohomology, extensions, tower, ulrich
 from scroll_ulrich.chow import Codim2Class, DivisorClass, mul_div_c2, mul_div_div
 from scroll_ulrich.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
 from scroll_ulrich.tower import TowerBundle, _quotients
@@ -660,25 +660,101 @@ def test_case9_special_negated_is_caught(monkeypatch, capsys, c):
     assert _cli_failures((0, 0, c), capsys) == {"moduli-case9", "ext-involution-orbits"}
 
 
-# A field of End F one too high on the records of one case (ROADMAP item 16's probe):
-# no closed-form row reads it there, so only the transport along the involutions can.
+XI_C0 = Codim2Class(1, 0, 0)  # the class xi.C0: adds one to p
+
+
+def _flip_from_base_a(r):
+    flags = r.obstruction
+    return r._replace(obstruction=flags._replace(from_base_a=not flags.from_base_a))
+
+
+# One field slipped on the records of one case (ROADMAP item 16's probe), each with
+# its own perturbation: no closed-form row reads it there, so only the transport
+# along the involutions can.
 _END_FIELD_SLIPS = {
-    "case3-chi-endo": (3, "chi_endo", (0, 1, 3)),
-    "case12-chi-endo": (12, "chi_endo", (1, 0, 3)),
-    "case13-h2-endo": (13, "h2_endo", (1, 0, 3)),
+    "case3-chi-endo": (3, lambda r: r._replace(chi_endo=r.chi_endo + 1), (0, 1, 3)),
+    "case12-chi-endo": (12, lambda r: r._replace(chi_endo=r.chi_endo + 1), (1, 0, 3)),
+    "case13-h2-endo": (13, lambda r: r._replace(h2_endo=r.h2_endo + 1), (1, 0, 3)),
+    "case3-c2-twisted": (3, lambda r: r._replace(c2_twisted=r.c2_twisted + XI_C0), (0, 1, 3)),
+    "case14-from-base-a": (14, _flip_from_base_a, (1, 0, 3)),
 }
 
 
-@pytest.mark.parametrize("case, field, cell", _END_FIELD_SLIPS.values(), ids=_END_FIELD_SLIPS)
-def test_end_field_plus_one_on_one_case_fails_the_transport(monkeypatch, capsys, case, field, cell):
+@pytest.mark.parametrize("case, slip, cell", _END_FIELD_SLIPS.values(), ids=_END_FIELD_SLIPS)
+def test_end_field_plus_one_on_one_case_fails_the_transport(monkeypatch, capsys, case, slip, cell):
     original = extensions.build_extension_record
 
     def mutant(params, *args):
         r = original(params, *args)
-        return r._replace(**{field: getattr(r, field) + 1}) if r.case_id == case else r
+        return slip(r) if r.case_id == case else r
 
     _patch_everywhere(monkeypatch, original, mutant)
     assert _cli_failures(cell, capsys) == {"ext-involution-orbits"}
+
+
+def _perturbations(r):
+    """Each value field of the record r perturbed alone: +1, +F, +xi.C0 or a flip."""
+    for field in ("ext_dim", "c1", "c2", "chi_endo", "h2_endo", "special",
+                  "c1_twisted", "c2_twisted"):
+        value = getattr(r, field)
+        if isinstance(value, bool):
+            value = not value
+        elif value is None:  # a refused h2_endo
+            value = 0
+        elif isinstance(value, int):
+            value += 1
+        else:
+            value += F if isinstance(value, DivisorClass) else XI_C0
+        yield field, r._replace(**{field: value})
+    flags = r.obstruction
+    yield "from_base_a", _flip_from_base_a(r)
+    yield "from_base_b", r._replace(obstruction=flags._replace(from_base_b=not flags.from_base_b))
+
+
+def test_transport_reports_every_field_perturbation():
+    # 58 records, 10 value fields each; ROADMAP item 16: every field has an oracle
+    missed, n = [], 0
+    for cell in [(0, 0, 3), (0, 1, 3), (1, 2, 4), (2, 3, 7), (0, 3, 5)]:
+        p = ScrollParams(*cell)
+        records = enumerate_cases(p, classify_ulrich_line_bundles(p))
+        q = p.swapped()
+        swapped = enumerate_cases(q, classify_ulrich_line_bundles(q))
+        for i, r in enumerate(records):
+            for field, slipped in _perturbations(r):
+                n += 1
+                mutated = records[:i] + [slipped] + records[i + 1:]
+                if not any(verify._check_involution_orbits(
+                        p, mutated, mutated if p.a == p.b else swapped)):
+                    missed.append((cell, r.case_id, field))
+    assert (n, missed) == (580, [])
+
+
+def test_transport_duals_each_bundle_once(monkeypatch):
+    # K_X + 4h - D once per distinct divisor and cell, not twice per record
+    calls = []
+    original = verify.ulrich_dual
+
+    def counted(params, div):
+        calls.append(div)
+        return original(params, div)
+
+    monkeypatch.setattr(verify, "ulrich_dual", counted)
+    p = ScrollParams(0, 0, 3)
+    records = enumerate_cases(p, classify_ulrich_line_bundles(p))
+    assert list(verify._check_involution_orbits(p, records, records)) == []
+    assert len(records) == 30 and len(calls) == len(set(calls)) == 6
+
+
+def test_tower_hypothesis_widened_is_caught(monkeypatch, capsys):
+    # b <= 2 admits (0, 2), (1, 2) and (2, 2), where the h^1 seeds are not both 3
+    _patch_everywhere(monkeypatch, tower.in_tower_hypothesis,
+                      lambda p: 0 <= p.a <= p.b <= 2)
+    assert main(["verify", "--a", "0", "--b", "1", "--c", "3"]) == EXIT_VERIFY_FAILED
+    report = json.loads(capsys.readouterr().out)
+    rows = next(t for t in report["tables"] if t["name"] == "checks")["rows"]
+    assert [tuple(row[:4]) for row in rows] == [
+        (a, b, a + b + 1, "tower-hypothesis") for a, b in [(0, 2), (1, 2), (2, 2)]
+    ]
 
 
 def test_patching_an_unbound_name_fails_the_control(monkeypatch):
