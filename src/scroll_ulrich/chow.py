@@ -33,6 +33,11 @@ field name goes through a descriptor that CPython 3.11 does not specialise
 (three reads 57 ns, one unpacking 45 ns).  Neither changes a value.  Code
 off the hot paths keeps the NamedTuple constructors and the field names; so
 does ScrollParams, whose constructor validates.
+
+ScrollParams keeps the classes every cell reads again, each built once per
+instance on first use: h, canonical, kx4h = K_X + 4h and h_squared = h.h.
+ulrich.ulrich_dual, ulrich.is_special_rank2 and verify's involution transport
+read kx4h, which no other module spells; ulrich.slope reads h_squared.
 """
 
 from __future__ import annotations
@@ -52,9 +57,9 @@ class ScrollParams(_Params):
     """The triple (a, b, c) fixing X and its polarization h = xi + C0 + cF.
 
     Constraints: a, b >= 0 and c >= a + b + 1 (very-ampleness of h).
-    `h` and `canonical` are built on first use and kept in the instance
-    __dict__ that this subclass of the (a, b, c) tuple has; equality and
-    hashing read only (a, b, c).
+    `h`, `canonical`, `kx4h` and `h_squared` are built on first use and kept
+    in the instance __dict__ that this subclass of the (a, b, c) tuple has;
+    equality and hashing read only (a, b, c).
     """
 
     def __new__(cls, a: int, b: int, c: int) -> "ScrollParams":
@@ -78,6 +83,16 @@ class ScrollParams(_Params):
     def canonical(self) -> "DivisorClass":
         """K_X = -2 xi - 2 C0 - (a+b+2) F."""
         return DivisorClass(-2, -2, -(self.a + self.b + 2))
+
+    @cached_property
+    def kx4h(self) -> "DivisorClass":
+        """K_X + 4h = (2, 2, 4c - a - b - 2), the twist of the Ulrich dual; spelled here only."""
+        return self.canonical + 4 * self.h
+
+    @cached_property
+    def h_squared(self) -> "Codim2Class":
+        """h.h, the class that slope pairs c1 with."""
+        return mul_div_div(self.h, self.h, self)
 
     def swapped(self) -> "ScrollParams":
         """Parameters of the second scroll structure, over F_b."""
@@ -131,7 +146,8 @@ class DivisorClass(NamedTuple):
 
     def swapped(self) -> "DivisorClass":
         """The same class in the basis of the F_b scroll structure: xi <-> C0, F fixed."""
-        return DivisorClass(self.y, self.x, self.z)
+        x, y, z = self
+        return _new(DivisorClass, (y, x, z))
 
 
 @_class_arithmetic
@@ -148,7 +164,8 @@ class Codim2Class(NamedTuple):
         Under xi <-> C0, F <-> F the basis maps as xi.C0 -> xi.C0 and
         xi.F <-> C0.F, so the coefficients (p, q, r) become (p, r, q).
         """
-        return Codim2Class(self.p, self.r, self.q)
+        p, q, r = self
+        return _new(Codim2Class, (p, r, q))
 
 
 def mul_div_div(d1: DivisorClass, d2: DivisorClass, params: ScrollParams) -> Codim2Class:
@@ -200,16 +217,25 @@ def whitney(
 
     Whitney (Fulton, Intersection Theory, Thm. 3.2(e)): c is the product of the
     1 + q over the quotients; after the first, q steps c3 += q.c2, c2 += c1.q, c1 += q.
+    The second step meets c2 = 0, so it takes no c3 product: a rank-two fold
+    pairs no divisor with a codimension-2 class.
     """
     quotients = iter(quotients)
-    for c1 in quotients:  # c = 1 + q for the first; the inner loop takes the rest
-        c2, c3 = _ZERO_C2, 0
+    c1 = next(quotients, None)
+    if c1 is None:
+        return
+    yield c1, _ZERO_C2, 0  # c = 1 + q for the first
+    q = next(quotients, None)
+    if q is None:
+        return
+    c2, c3 = mul_div_div(c1, q, params), 0
+    c1 += q
+    yield c1, c2, c3
+    for q in quotients:
+        c3 += mul_div_c2(q, c2, params)
+        c2 += mul_div_div(c1, q, params)
+        c1 += q
         yield c1, c2, c3
-        for q in quotients:
-            c3 += mul_div_c2(q, c2, params)
-            c2 += mul_div_div(c1, q, params)
-            c1 += q
-            yield c1, c2, c3
 
 
 def numerical_invariants(params: ScrollParams) -> tuple[int, int, int]:

@@ -31,7 +31,6 @@ from typing import NamedTuple
 
 from .chow import Codim2Class, DivisorClass, ScrollParams, whitney
 from .cohomology import chi_filtered, h_scroll
-from .ulrich import named_line_bundles
 
 
 class TowerBundle(NamedTuple):
@@ -48,9 +47,13 @@ def in_tower_hypothesis(params: ScrollParams) -> bool:
 
 
 def tower_pair(params: ScrollParams) -> tuple[DivisorClass, DivisorClass]:
-    """(script_N_1, script_N_2) = (N^U, N)."""
-    forms = named_line_bundles(params)
-    return forms["N_dual"], forms["N"]
+    """(script_N_1, script_N_2) = (N^U, N) = ((0, 2, 2c - b - 1), (2, 0, 2c - a - 1)).
+
+    The two forms of ulrich.named_line_bundles that every (a, b, c) has, built
+    without the others.
+    """
+    a, b, c = params
+    return DivisorClass(0, 2, 2 * c - b - 1), DivisorClass(2, 0, 2 * c - a - 1)
 
 
 def _quotients(params: ScrollParams, r: int) -> tuple[DivisorClass, ...]:

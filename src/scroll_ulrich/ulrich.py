@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chow import Codim2Class, DivisorClass, ScrollParams, _new, triple
+from .chow import Codim2Class, DivisorClass, ScrollParams, _new, mul_div_c2
 from .cohomology import ZERO_COHOMOLOGY, h_scroll, twice_chi
 
 DUAL_TAG = {
@@ -84,7 +84,7 @@ def is_ulrich_line(params: ScrollParams, div: DivisorClass) -> bool:
 
 def ulrich_dual(params: ScrollParams, div: DivisorClass) -> DivisorClass:
     """K_X + 4h - D; an involution on Ulrich line bundles (dim X = 3)."""
-    return params.canonical + 4 * params.h - div
+    return params.kx4h - div
 
 
 def base_swap(params: ScrollParams, div: DivisorClass) -> tuple[ScrollParams, DivisorClass]:
@@ -148,12 +148,12 @@ def slope(params: ScrollParams, c1: DivisorClass, rank: int) -> Fraction:
     """mu = (c1 . h^2) / rank, exactly."""
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
-    return Fraction(triple(c1, params.h, params.h, params), rank)
+    return Fraction(mul_div_c2(c1, params.h_squared, params), rank)
 
 
 def is_special_rank2(params: ScrollParams, c1: DivisorClass) -> bool:
     """True iff c1 equals K_X + 4h = (2, 2, 4c - a - b - 2)."""
-    return c1 == params.canonical + 4 * params.h
+    return c1 == params.kx4h
 
 
 class ObstructionReport(NamedTuple):
@@ -174,8 +174,6 @@ class ObstructionReport(NamedTuple):
 
 
 def pullback_obstruction_report(c2_twisted: Codim2Class) -> ObstructionReport:
-    swapped = c2_twisted.swapped()
-    return ObstructionReport(
-        from_base_a=c2_twisted.p != 0 or c2_twisted.q != 0,
-        from_base_b=swapped.p != 0 or swapped.q != 0,
-    )
+    """(from_base_a, from_base_b): the F_b test reads (p, r, q), the swapped class."""
+    p, q, r = c2_twisted
+    return _new(ObstructionReport, (p != 0 or q != 0, p != 0 or r != 0))

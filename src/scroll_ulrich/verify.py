@@ -7,10 +7,10 @@ messages, which `_Collector.first` turns into one row that fails with the
 first message, so a defect fails a row and never stops the run.  Cell
 checks run per parameter triple, one cell after another in one process; the
 fixed-grid checks (cohomology box at representative parameters, tower, the
-tower hypothesis, instanton) run once.  The cohomology box reads (a, b) and
-not c, so `run_grid` sweeps it once per (a, b) (`cohomology_failures`), and
-every cell and representative row of that family reads its first failures
-from that sweep.
+tower hypothesis, instanton, the case numbering) run once.  The cohomology
+box reads (a, b) and not c, so `run_grid` sweeps it once per (a, b)
+(`cohomology_failures`), and every cell and representative row of that
+family reads its first failures from that sweep.
 
 The library computes and this module checks what it computed: the cell
 rows of the Ulrich dual and of the rank-two invariants read the records
@@ -262,9 +262,9 @@ def cohomology_failures(params: ScrollParams) -> Failures:
     Each class is evaluated once: a table local to this call keeps the vector
     of every class the sweep has asked for, keyed by the class, so a box point
     that returns as another point's Serre image (looked up by what serre_dual
-    returns) or as its line's wall is read from the table.  Each of the three
-    classes of a point (the point, its Serre image and, at an outer point, the
-    wall next to it) is one read of the table through its bound get, and each
+    returns) or as its line's wall is read from the table.  The two wall
+    vectors of a line are read once, before its points; each point reads its
+    own class and its Serre image through the table's bound get, and each
     vector is unpacked once: the claims are tested on the four ints.  The
     table is dropped when the call returns.
     """
@@ -278,6 +278,14 @@ def cohomology_failures(params: ScrollParams) -> Failures:
         for y in range(-reach, reach + 1):
             lo, hi = _walls(a, b, x, y)
             strip = x == -1 or y == -1
+            walls = []
+            for z in (lo, hi):
+                wall = _new(DivisorClass, (x, y, z))
+                vec = get(wall)
+                if vec is None:
+                    vec = vectors[wall] = h_scroll(params, wall)
+                walls.append(vec)
+            (l0, l1, l2, l3), (u0, u1, u2, u3) = walls
             for z in range(lo - 1, hi + 2):
                 div = _new(DivisorClass, (x, y, z))
                 vec = get(div)
@@ -295,14 +303,12 @@ def cohomology_failures(params: ScrollParams) -> Failures:
                 if strip and (h0 or h1 or h2 or h3):
                     failures.append(("cohomology-vanishing-strip", div))
                 # at an outer point, some h^i falls from the wall next to it
-                falls = False
-                if z < lo or z > hi:
-                    wall = _new(DivisorClass, (x, y, lo if z < lo else hi))
-                    vec = get(wall)
-                    if vec is None:
-                        vec = vectors[wall] = h_scroll(params, wall)
-                    w0, w1, w2, w3 = vec
-                    falls = h0 < w0 or h1 < w1 or h2 < w2 or h3 < w3
+                if z < lo:
+                    falls = h0 < l0 or h1 < l1 or h2 < l2 or h3 < l3
+                elif z > hi:
+                    falls = h0 < u0 or h1 < u1 or h2 < u2 or h3 < u3
+                else:
+                    falls = False
                 if (h0 < 0 or h1 < 0 or h2 < 0 or h3 < 0 or (x >= 0 and h3 != 0)
                         or falls):
                     failures.append(("cohomology-degree-bounds", div))
@@ -346,7 +352,7 @@ def _check_involution_orbits(
     if seen_cases != expected:
         yield f"cases {sorted(seen_cases)} != expected {sorted(expected)} at {params}"
 
-    kx4h = params.canonical + 4 * params.h
+    kx4h = params.kx4h
     kx2h = params.canonical + 2 * params.h
     twice_kx4h, kx4h_sq = 2 * kx4h, mul_div_div(kx4h, kx4h, params)
     twice_kx2h, kx2h_sq = 2 * kx2h, mul_div_div(kx2h, kx2h, params)
@@ -635,6 +641,7 @@ def run_grid(cells: Iterable[tuple[int, int, int]]) -> list[CheckResult]:
     results.extend(run_tower_checks())
     results.extend(run_tower_hypothesis_checks())
     results.extend(run_instanton_checks())
+    results.extend(run_case_numbering_checks())
     results.sort(key=itemgetter(0, 1, 2, 3))  # (a, b, c, check)
     return results
 
@@ -682,38 +689,40 @@ def _tower_seeds(params: ScrollParams) -> tuple[int, int]:
 
 
 def _check_tower(params: ScrollParams) -> Iterator[str]:
-    """Yield a message for each tower value that misses its closed form."""
+    """Yield a message for each tower value that misses its closed form.
 
-    def expect(what: str, got, want) -> Iterator[str]:
-        if got != want:
-            yield f"tower {what}: got {got}, want {want} at {params}"
-
+    Each rank compares all its values as one tuple with their closed forms; the
+    labels and messages are built only when that tuple differs.
+    """
     n_dual, n = tower_pair(params)
-    yield from expect("h^1 seeds", _tower_seeds(params), (3, 3))
+    seeds = _tower_seeds(params)
+    if seeds != (3, 3):
+        yield f"tower h^1 seeds: got {seeds}, want {(3, 3)} at {params}"
     h1 = tower_h1_recursion(params, TOWER_RANKS)
     _, d, g = numerical_invariants(params)
     mu = Fraction(d + g - 1)
-    for tw in iter_tower(params, TOWER_RANKS):
-        r = tw.rank
+    for r, c1, c2, c3 in iter_tower(params, TOWER_RANKS):
         odd = r % 2
-        yield from expect(f"Chern classes at r={r}", (tw.c1, tw.c2, tw.c3),
-                          (_closed_c1(params, r), _closed_c2(params, r), _closed_c3(params, r)))
-        yield from expect(f"slope at r={r}", slope(params, tw.c1, r), mu)
         chi_next = chi_tower_vs_line(params, r, (n_dual, n)[odd])  # Q_{r+1}
-        yield from expect(f"chi vs Q_{r + 1} at r={r}", chi_next, -r - 2 if odd else -r)
-        yield from expect(f"chi vs Q_{r} at r={r}",
-                          chi_tower_vs_line(params, r, (n, n_dual)[odd]),
-                          -r + 2 if odd else -r)
         chi_end = chi_endo_tower(params, r)
-        yield from expect(f"chi(End) at r={r}", chi_end, -r * r + 2 if odd else -r * r)
-        yield from expect(f"moduli dim vs 1 - chi(End) at r={r}",
-                          moduli_dim_tower(r), 1 - chi_end)
-        yield from expect(f"h^1 at r={r}", h1[r - 1], r + 2 if odd else r + 1)
-        yield from expect(f"h^1 vs h^0 - chi at r={r}",
-                          h1[r - 1], (0 if odd else 1) - chi_next)
+        h1_r = h1[r - 1]
+        got = ((c1, c2, c3), slope(params, c1, r), chi_next,
+               chi_tower_vs_line(params, r, (n, n_dual)[odd]), chi_end, moduli_dim_tower(r),
+               h1_r, h1_r)
+        want = ((_closed_c1(params, r), _closed_c2(params, r), _closed_c3(params, r)), mu,
+                -r - 2 if odd else -r, -r + 2 if odd else -r, -r * r + 2 if odd else -r * r,
+                1 - chi_end, r + 2 if odd else r + 1, (0 if odd else 1) - chi_next)
         if r >= 2:
-            yield from expect(f"gap at r={r}", moduli_dim_gap(r),
-                              moduli_dim_tower(r) - moduli_dim_tower(r - 1) + 1 - h1[r - 2])
+            got += (moduli_dim_gap(r),)
+            want += (moduli_dim_tower(r) - moduli_dim_tower(r - 1) + 1 - h1[r - 2],)
+        if got != want:
+            labels = (f"Chern classes at r={r}", f"slope at r={r}", f"chi vs Q_{r + 1} at r={r}",
+                      f"chi vs Q_{r} at r={r}", f"chi(End) at r={r}",
+                      f"moduli dim vs 1 - chi(End) at r={r}", f"h^1 at r={r}",
+                      f"h^1 vs h^0 - chi at r={r}", f"gap at r={r}")
+            for what, value, closed in zip(labels, got, want):
+                if value != closed:
+                    yield f"tower {what}: got {value}, want {closed} at {params}"
 
 
 def run_tower_checks() -> list[CheckResult]:
@@ -765,6 +774,34 @@ def run_tower_hypothesis_checks() -> list[CheckResult]:
                       _tower_seeds(params) == (3, 3) and a <= b)
             out.extend(col.results)
     return out
+
+
+# The paper's numbering of the fifteen unordered pairs of named bundles, case 1
+# first.  Spelled here apart from extensions.CASE_OF_PAIR, from which the records,
+# the orbits and _expected_cases all derive, so a renumbering there agrees with
+# itself everywhere else and fails `ext-case-numbering` alone.
+PAPER_CASES = (
+    ("N", "N_dual"), ("L", "L_dual"), ("L", "N"), ("L", "N_dual"), ("L_dual", "N"),
+    ("L_dual", "N_dual"), ("M", "M_dual"), ("L", "M"), ("L", "M_dual"), ("L_dual", "M"),
+    ("L_dual", "M_dual"), ("N", "M"), ("N", "M_dual"), ("N_dual", "M"), ("N_dual", "M_dual"),
+)
+
+
+def _check_case_numbering() -> Iterator[str]:
+    """Yield a message for each pair that CASE_OF_PAIR numbers otherwise than PAPER_CASES."""
+    for case, pair in enumerate(PAPER_CASES, start=1):
+        got = CASE_OF_PAIR.get(frozenset(pair))
+        if got != case:
+            yield f"pair {pair} numbered {got}, want case {case}"
+    if len(CASE_OF_PAIR) != len(PAPER_CASES):
+        yield f"{len(CASE_OF_PAIR)} pairs numbered, want {len(PAPER_CASES)}"
+
+
+def run_case_numbering_checks() -> list[CheckResult]:
+    """`ext-case-numbering`, once, at (0, 0, 1): the least cell where all fifteen pairs occur."""
+    col = _Collector(0, 0, 1)
+    col.first("ext-case-numbering", _check_case_numbering())
+    return col.results
 
 
 # The instanton checks run at c = 1..INSTANTON_C_MAX, on the base F_0.

@@ -7,7 +7,7 @@ to 1.  This re-derives every product the closed-form kernel hard-codes.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scroll_ulrich import (
@@ -260,9 +260,12 @@ def test_triple_fully_symmetric(d1, d2, d3, p):
 
 
 @given(st.lists(divisors, max_size=5), params_st)
+@example([DivisorClass(1, 0, 3), DivisorClass(0, 2, -1), DivisorClass(2, 1, 4),
+          DivisorClass(-1, 3, 2), DivisorClass(2, -2, 7)], ScrollParams(1, 2, 5))
 @settings(max_examples=60)
 def test_whitney_fold_matches_the_rewriting_oracle(quotients, p):
-    # after k quotients, c_i is the i-th elementary symmetric function of them
+    # after k quotients, c_i is the i-th elementary symmetric function of them;
+    # the example folds past the second step, which whitney writes apart
     from itertools import combinations
 
     steps = list(whitney(p, quotients))

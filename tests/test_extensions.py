@@ -16,7 +16,7 @@ from scroll_ulrich import (
     named_line_bundles,
     whitney,
 )
-from scroll_ulrich import extensions
+from scroll_ulrich import chow, extensions
 from scroll_ulrich.cli import EXIT_OK, main
 from scroll_ulrich.extensions import CASE_ORBITS, ORBIT_REPRESENTATIVE
 
@@ -383,3 +383,20 @@ def test_records_skip_the_constructor(constructor_calls):
     records = enumerate_cases(p, classify_ulrich_line_bundles(p))
     assert len(records) == 30 and calls == []
     assert all(type(r) is extensions.Rank2ExtensionRecord for r in records)
+
+
+def test_rank_two_folds_take_no_c3_product(monkeypatch):
+    # the second Whitney step meets c2 = 0, and a record keeps no c3: none of the
+    # two folds of each of the 30 records pairs a divisor with that zero class
+    calls = []
+    original = chow.mul_div_c2
+
+    def counted(d, s, params):
+        calls.append(s)
+        return original(d, s, params)
+
+    monkeypatch.setattr(chow, "mul_div_c2", counted)  # whitney reads the chow global
+    p = ScrollParams(0, 0, 3)
+    bundles = classify_ulrich_line_bundles(p)
+    assert len(enumerate_cases(p, bundles)) == 30
+    assert calls == []

@@ -39,6 +39,14 @@ def _pick(p, i):
     return n_dual if i % 2 else n
 
 
+def test_tower_pair_is_the_named_n_pair():
+    # tower_pair spells (N^U, N) apart from named_line_bundles; the two agree
+    for cell in HYP_GRID + [(2, 3, 6), (1, 4, 9)]:
+        p = ScrollParams(*cell)
+        forms = named_line_bundles(p)
+        assert tower_pair(p) == (forms["N_dual"], forms["N"]), cell
+
+
 def test_epsilon():
     # which of the N pair is the r-th quotient: N^U (the first) at odd r, N at even r
     p = ScrollParams(0, 1, 2)
@@ -201,8 +209,9 @@ def test_one_whitney_step_per_rank(monkeypatch, capsys):
 
 
 def test_chi_endo_reads_the_named_forms_once(monkeypatch):
+    # the N pair of the named forms, through tower_pair
     p = ScrollParams(0, 1, 3)
-    reads = _counted(monkeypatch, tower, "named_line_bundles")
+    reads = _counted(monkeypatch, tower, "tower_pair")
     for r in (1, 2, 9):
         reads.clear()
         assert chi_endo_tower(p, r) == (-r * r + 2 if r % 2 else -r * r)

@@ -240,3 +240,24 @@ def test_pullback_obstruction():
     report = pullback_obstruction_report(Codim2Class(0, 5, 0))
     assert report.from_base_a and not report.from_base_b
     assert not pullback_obstruction_report(Codim2Class(0, 0, 0)).from_both
+
+
+def test_kx4h_is_built_once_per_params(monkeypatch):
+    # ulrich_dual and is_special_rank2 read ScrollParams.kx4h, built on first use:
+    # their 18 calls here build K_X + 4h once
+    p = ScrollParams(0, 0, 3)
+    kx4h = (2, 2, 4 * 3 - 2)
+    built = []
+    add = DivisorClass.__add__
+
+    def counted(self, other):
+        total = add(self, other)
+        if total == kx4h:
+            built.append(total)
+        return total
+
+    monkeypatch.setattr(DivisorClass, "__add__", counted)
+    for d in named_line_bundles(p).values():
+        assert ulrich_dual(p, ulrich_dual(p, d)) == d
+        assert not is_special_rank2(p, d)
+    assert len(built) == 1

@@ -6,6 +6,7 @@ controls of the library layers run `verify` through the CLI, which must
 exit 1 with the ledger on stdout, not crash.
 """
 
+import inspect
 import json
 import sys
 
@@ -145,20 +146,22 @@ def test_scan_bound_certificate_is_constant_size(monkeypatch, c):
     assert len(calls) == 36
 
 
-def _patch_everywhere(monkeypatch, original, replacement):
+def _patch_everywhere(monkeypatch, original, replacement, name=None):
     """Replace `original` under every scroll_ulrich module name bound to it.
 
+    The name defaults to the function's own; a table without one names it.
     Fails when no module binds it: a control that patches nothing mutates nothing.
     """
+    name = name or original.__name__
     patched = False
-    for name, module in list(sys.modules.items()):
-        if name.startswith("scroll_ulrich") and (
-            getattr(module, original.__name__, None) is original
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("scroll_ulrich") and (
+            getattr(module, name, None) is original
         ):
-            monkeypatch.setattr(module, original.__name__, replacement)
+            monkeypatch.setattr(module, name, replacement)
             patched = True
     if not patched:
-        pytest.fail(f"no scroll_ulrich module binds {original.__name__} to {original!r}")
+        pytest.fail(f"no scroll_ulrich module binds {name} to {original!r}")
 
 
 def test_each_triple_is_classified_once(monkeypatch):
@@ -755,6 +758,48 @@ def test_tower_hypothesis_widened_is_caught(monkeypatch, capsys):
     assert [tuple(row[:4]) for row in rows] == [
         (a, b, a + b + 1, "tower-hypothesis") for a, b in [(0, 2), (1, 2), (2, 2)]
     ]
+
+
+def test_tower_cell_builds_no_named_forms(monkeypatch):
+    # tower_pair reads the N pair alone: none of a tower cell's 28 tower_pair
+    # calls builds the other named forms
+    calls = []
+    original = ulrich.named_line_bundles
+
+    def counted(params):
+        calls.append(params)
+        return original(params)
+
+    _patch_everywhere(monkeypatch, original, counted)
+    assert list(verify._check_tower(ScrollParams(0, 1, 3))) == []
+    assert calls == []
+
+
+def _renumbered_cases(monkeypatch, old, new):
+    """extensions.py with the literal `old` of CASE_OF_PAIR replaced by `new`, as a
+    source mutant: every table derived from it at import is rebuilt and rebound."""
+    source = inspect.getsource(extensions)
+    assert source.count(old) == 1
+    mutant = {"__name__": extensions.__name__, "__package__": extensions.__package__}
+    exec(compile(source.replace(old, new), extensions.__file__, "exec"), mutant)
+    for name in ("CASE_OF_PAIR", "PAIR_OF_CASE", "_CASE_OF_TAGS", "CASE_ORBITS",
+                 "ORBIT_REPRESENTATIVE"):
+        _patch_everywhere(monkeypatch, getattr(extensions, name), mutant[name], name)
+
+
+@pytest.mark.parametrize("old, new", [
+    ('frozenset({"N_dual", "M_dual"}): 15,', 'frozenset({"N_dual", "M_dual"}): 16,'),
+    ('frozenset({"L_dual", "N"}): 5,', 'frozenset({"L_dual", "N"}): 4,'),
+], ids=["case-15-as-16", "case-5-on-case-4"])
+def test_renumbered_case_fails_ext_case_numbering_alone(monkeypatch, capsys, old, new):
+    # each renumbering agrees with itself in the records, the orbits and the
+    # expected cases, so no other row of the benchmark grid sees it
+    _renumbered_cases(monkeypatch, old, new)
+    argv = ["verify", "--a", "0..3", "--b", "0..3", "--normalize"]
+    assert main(argv) == EXIT_VERIFY_FAILED
+    report = json.loads(capsys.readouterr().out)
+    rows = next(t for t in report["tables"] if t["name"] == "checks")["rows"]
+    assert {row[3] for row in rows if row[4] == "FAIL"} == {"ext-case-numbering"}
 
 
 def test_patching_an_unbound_name_fails_the_control(monkeypatch):
