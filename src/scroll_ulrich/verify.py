@@ -27,13 +27,17 @@ their certificate (`tower-closed-forms`, with the one copy of the h^1
 closed form) and the bound of its hypothesis (`tower-hypothesis`: both h^1
 seeds equal 3 on a <= b exactly where in_tower_hypothesis holds).
 
-The transport reaches every value field of a record.  Ulrich duality maps
-the record of (sub, quot) to that of (quot^U, sub^U) and F to
-F^dual(K_X + 4h): it keeps ext^1 and the fields of End F (chi_endo,
-h2_endo, special), moves c1 and c2 by the rule of a dual twisted by
-K_X + 4h, and the twisted classes by the same rule with K_X + 2h, since
-F^U(-h) = (F(-h))^dual(K_X + 2h).  The base swap keeps ext^1 and the End
-fields, maps the tags by SWAP_TAG and every class by .swapped(), and
+The transport reaches every field of a record.  Each involution maps the
+record of (sub, quot) to the record of the image pair and predicts its
+fields from sub_tag on: the tags by DUAL_TAG or SWAP_TAG, the case_id as
+PAPER_CASES numbers those tags (each record is the dual image of its own
+dual image, so every case_id meets this oracle), and the value fields.
+Ulrich duality maps (sub, quot) to (quot^U, sub^U) and F to F^dual(k) for
+k = K_X + 4h: it keeps ext^1 and the fields of End F (chi_endo, h2_endo,
+special), since End F^dual(k) = End F and sub - quot is kept, moves c1 and
+c2 to (2k - c1, k.k - k.c1 + c2), and the twisted classes by the same rule
+with k = K_X + 2h, since F^U(-h) = (F(-h))^dual(K_X + 2h).  The base swap
+keeps ext^1 and the End fields, maps every class by .swapped(), and
 exchanges the two obstruction flags, since it exchanges the two bases.
 Duality leaves the obstruction flags out: they held on every record of a
 probe, but no argument for them is written down, and the swap pins each
@@ -42,9 +46,9 @@ flag against a second record already.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .chow import (
@@ -322,98 +326,83 @@ def _cohomology_checks(col: _Collector, failures: Failures, span: int = 3):
                          if check == name and abs(div.x) <= span and abs(div.y) <= span))
 
 
-def _expected_cases(params: ScrollParams) -> set[int]:
-    tags = set(named_line_bundles(params))
-    return {case for pair, case in CASE_OF_PAIR.items() if pair <= tags}
-
-
-# The fields of a record that read End F alone.  Ulrich duality maps F to
-# F^dual(K_X + 4h), whose End is End(F)^dual = End F, and keeps the class
-# sub - quot whose h^2 decides a refusal; the base swap is an isomorphism.  So
-# both involutions preserve each of them, a refused h2_endo (None) included.
-_END_FIELDS = ("chi_endo", "h2_endo", "special")
-_end_fields = attrgetter(*_END_FIELDS)
+# The paper's numbering of the fifteen unordered pairs of named bundles, case 1
+# first.  Spelled here apart from extensions.CASE_OF_PAIR, from which the records,
+# the orbits and the expected case set all derive: `ext-case-numbering` compares
+# that table with this one, and `ext-involution-orbits` the case_id of each record.
+PAPER_CASES = (
+    ("N", "N_dual"), ("L", "L_dual"), ("L", "N"), ("L", "N_dual"), ("L_dual", "N"),
+    ("L_dual", "N_dual"), ("M", "M_dual"), ("L", "M"), ("L", "M_dual"), ("L_dual", "M"),
+    ("L_dual", "M_dual"), ("N", "M"), ("N", "M_dual"), ("N_dual", "M"), ("N_dual", "M_dual"),
+)
+_PAPER_CASE = {(s, q): case for case, (u, v) in enumerate(PAPER_CASES, start=1)
+               for s, q in ((u, v), (v, u))}  # (sub_tag, quot_tag) -> case
 
 
 def _check_involution_orbits(
-    params: ScrollParams, records: Records, swapped_records: Records
+    params: ScrollParams, records: Collection[Rank2ExtensionRecord], swapped_records: Records
 ) -> Iterator[str]:
     """Yield a message for each failure of the case set or of an involution transport.
 
     `records`, `swapped_records`: enumerate_cases of params and params.swapped().
-    The fields each involution transports are listed in the module docstring.
-    K_X + 4h, K_X + 2h, their squares and the dual and swap image of each
-    bundle are computed once per cell, not once per record.
+    Each involution maps a record to the key (sub, quotient) of its image and
+    to the fields from sub_tag on that it predicts there; the image is compared
+    with the prediction as one tuple, and on a mismatch a message names each
+    field that differs.  K_X + 4h, K_X + 2h, their squares and the dual and
+    swap image of each bundle are computed once per cell.
     """
-    by_pair = {(r.sub, r.quotient): r for r in records}
-
+    tags = set(named_line_bundles(params))
+    expected = {case for pair, case in CASE_OF_PAIR.items() if pair <= tags}
     seen_cases = {r.case_id for r in records}
-    expected = _expected_cases(params)
     if seen_cases != expected:
         yield f"cases {sorted(seen_cases)} != expected {sorted(expected)} at {params}"
 
-    kx4h = params.kx4h
-    kx2h = params.canonical + 2 * params.h
+    by_pair = {(r.sub, r.quotient): r for r in records}
+    kx4h, kx2h = params.kx4h, params.canonical + 2 * params.h
     twice_kx4h, kx4h_sq = 2 * kx4h, mul_div_div(kx4h, kx4h, params)
     twice_kx2h, kx2h_sq = 2 * kx2h, mul_div_div(kx2h, kx2h, params)
     bundles = {d for pair in by_pair for d in pair}
     dual = {d: ulrich_dual(params, d) for d in bundles}
-    for r in records:
-        # Ulrich duality: Ext^1(A, B) = Ext^1(B^U, A^U).
-        image = by_pair.get((dual[r.quotient], dual[r.sub]))
-        if image is None:
-            yield f"dual image of case {r.case_id} missing at {params}"
-            continue
-        if ORBIT_REPRESENTATIVE[image.case_id] != ORBIT_REPRESENTATIVE[r.case_id]:
-            yield f"dual image of case {r.case_id} leaves its orbit"
-        if image.ext_dim != r.ext_dim:
-            yield f"ext^1 not preserved by Ulrich duality at {params}"
-        if image.c1 != twice_kx4h - r.c1:
-            yield f"c1 not transported by Ulrich duality at {params}"
-        if image.c2 != kx4h_sq - mul_div_div(kx4h, r.c1, params) + r.c2:
-            yield f"c2 not transported by Ulrich duality at {params}"
-        yield from _end_fields_kept(r, image, "Ulrich duality", params)
-        if image.c1_twisted != twice_kx2h - r.c1_twisted:
-            yield f"c1_twisted not transported by Ulrich duality at {params}"
-        if image.c2_twisted != kx2h_sq - mul_div_div(kx2h, r.c1_twisted, params) + r.c2_twisted:
-            yield f"c2_twisted not transported by Ulrich duality at {params}"
-
-    # Base swap: compare against the records of the swapped scroll structure.
-    swapped_by_pair = {(r.sub, r.quotient): r for r in swapped_records}
     swap = {d: d.swapped() for d in bundles}
-    for r in records:
-        image = swapped_by_pair.get((swap[r.sub], swap[r.quotient]))
-        if image is None:
-            yield f"swap image of case {r.case_id} missing at {params}"
-            continue
-        if ORBIT_REPRESENTATIVE[image.case_id] != ORBIT_REPRESENTATIVE[r.case_id]:
-            yield f"swap image of case {r.case_id} leaves its orbit"
-        if image.sub_tag != SWAP_TAG[r.sub_tag] or image.quot_tag != SWAP_TAG[r.quot_tag]:
-            yield f"swap tags wrong for case {r.case_id} at {params}"
-        if image.ext_dim != r.ext_dim:
-            yield f"ext^1 not preserved by the base swap at {params}"
-        if image.c1 != r.c1.swapped():
-            yield f"c1 not transported by the base swap at {params}"
-        if image.c2 != r.c2.swapped():
-            yield f"c2 not transported by the base swap at {params}"
-        yield from _end_fields_kept(r, image, "the base swap", params)
-        if image.c1_twisted != r.c1_twisted.swapped():
-            yield f"c1_twisted not transported by the base swap at {params}"
-        if image.c2_twisted != r.c2_twisted.swapped():
-            yield f"c2_twisted not transported by the base swap at {params}"
-        from_a, from_b = r.obstruction
-        if image.obstruction != (from_b, from_a):
-            yield f"obstruction of case {r.case_id} not exchanged by the base swap at {params}"
+    paper_case = _PAPER_CASE.get
 
+    def dual_image(r: Rank2ExtensionRecord) -> tuple:
+        # Ext^1(A, B) = Ext^1(B^U, A^U), and F goes to F^dual(K_X + 4h)
+        sub, quot, sub_tag, quot_tag, _, ext, c1, c2, chi, h2, special, c1_tw, c2_tw, _ = r
+        sub_tag, quot_tag = DUAL_TAG[quot_tag], DUAL_TAG[sub_tag]  # of the image
+        return (dual[quot], dual[sub]), (
+            sub_tag, quot_tag, paper_case((sub_tag, quot_tag)), ext,
+            twice_kx4h - c1, kx4h_sq - mul_div_div(kx4h, c1, params) + c2, chi, h2, special,
+            twice_kx2h - c1_tw, kx2h_sq - mul_div_div(kx2h, c1_tw, params) + c2_tw)
 
-def _end_fields_kept(
-    r: Rank2ExtensionRecord, image: Rank2ExtensionRecord, by: str, params: ScrollParams
-) -> Iterator[str]:
-    if _end_fields(image) == _end_fields(r):  # one read of the three fields when all hold
-        return
-    for field in _END_FIELDS:
-        if getattr(image, field) != getattr(r, field):
-            yield f"{field} of case {r.case_id} not preserved by {by} at {params}"
+    def swap_image(r: Rank2ExtensionRecord) -> tuple:
+        # the same extension over F_b: the two bases, so the two flags, exchange
+        sub, quot, sub_tag, quot_tag, _, ext, c1, c2, chi, h2, special, c1_tw, c2_tw, flags = r
+        sub_tag, quot_tag = SWAP_TAG[sub_tag], SWAP_TAG[quot_tag]  # of the image
+        from_a, from_b = flags
+        return (swap[sub], swap[quot]), (
+            sub_tag, quot_tag, paper_case((sub_tag, quot_tag)), ext, c1.swapped(), c2.swapped(),
+            chi, h2, special, c1_tw.swapped(), c2_tw.swapped(), (from_b, from_a))
+
+    orbit = ORBIT_REPRESENTATIVE.get  # a case_id out of 1..15 fails the row, not the run
+    for name, image_of, images, stop in (
+        ("dual", dual_image, by_pair, -1),  # the obstruction flags left out
+        ("swap", swap_image, {(r.sub, r.quotient): r for r in swapped_records}, None),
+    ):
+        for r in records:
+            key, predicted = image_of(r)
+            image = images.get(key)
+            if image is None:
+                yield f"{name} image of case {r.case_id} missing at {params}"
+                continue
+            if orbit(image.case_id) != orbit(r.case_id):
+                yield f"{name} image of case {r.case_id} leaves its orbit"
+            got = image[2:stop]
+            if got != predicted:
+                for field, value, want in zip(Rank2ExtensionRecord._fields[2:], got, predicted):
+                    if value != want:
+                        yield (f"{name} image of case {r.case_id}: {field} not transported"
+                               f" at {params}")
 
 
 def _read(rec: ByTags, sub_tag: str, quot_tag: str, field: str):
@@ -442,7 +431,7 @@ def _ext_checks(col: _Collector, params: ScrollParams, rec: ByTags, swapped_reco
 
     # the ordered-pair matrix transports along both involutions
     col.first("ext-involution-orbits",
-              _check_involution_orbits(params, list(rec.values()), swapped_records))
+              _check_involution_orbits(params, rec.values(), swapped_records))
 
 
 def _chern_checks(col: _Collector, params: ScrollParams, rec: ByTags):
@@ -583,6 +572,13 @@ def _moduli_checks(col: _Collector, params: ScrollParams, rec: ByTags, predictio
     col.first("moduli-smooth-h2", smooth_vs_h2())
 
 
+def _predictions(params: ScrollParams, records: Records) -> Predictions:
+    """moduli_predictions by case, of the records numbered 1..15: it reads each case's
+    orbit, and a case_id out of the numbering fails ext-involution-orbits, not the run."""
+    numbered = [r for r in records if r.case_id in ORBIT_REPRESENTATIVE]
+    return {p.case_id: p for p in moduli_predictions(params, numbered)}
+
+
 def run_cell_checks(cell: tuple[int, int, int], cohomology: Failures) -> list[CheckResult]:
     """Every check of one triple; `cohomology` is cohomology_failures of its (a, b)."""
     a, b, c = cell
@@ -602,8 +598,7 @@ def run_cell_checks(cell: tuple[int, int, int], cohomology: Failures) -> list[Ch
     _ext_checks(col, params, rec, swapped_records)
     _chern_checks(col, params, rec)
     _endo_checks(col, params, rec)
-    predictions = {p.case_id: p for p in moduli_predictions(params, records)}
-    _moduli_checks(col, params, rec, predictions)
+    _moduli_checks(col, params, rec, _predictions(params, records))
     return col.results
 
 
@@ -776,17 +771,6 @@ def run_tower_hypothesis_checks() -> list[CheckResult]:
     return out
 
 
-# The paper's numbering of the fifteen unordered pairs of named bundles, case 1
-# first.  Spelled here apart from extensions.CASE_OF_PAIR, from which the records,
-# the orbits and _expected_cases all derive, so a renumbering there agrees with
-# itself everywhere else and fails `ext-case-numbering` alone.
-PAPER_CASES = (
-    ("N", "N_dual"), ("L", "L_dual"), ("L", "N"), ("L", "N_dual"), ("L_dual", "N"),
-    ("L_dual", "N_dual"), ("M", "M_dual"), ("L", "M"), ("L", "M_dual"), ("L_dual", "M"),
-    ("L_dual", "M_dual"), ("N", "M"), ("N", "M_dual"), ("N_dual", "M"), ("N_dual", "M_dual"),
-)
-
-
 def _check_case_numbering() -> Iterator[str]:
     """Yield a message for each pair that CASE_OF_PAIR numbers otherwise than PAPER_CASES."""
     for case, pair in enumerate(PAPER_CASES, start=1):
@@ -835,7 +819,7 @@ def run_instanton_checks() -> list[CheckResult]:
         if c == 1:
             params = ScrollParams(0, 0, 1)
             records = enumerate_cases(params, classify_ulrich_line_bundles(params))
-            p1 = next((p for p in moduli_predictions(params, records) if p.case_id == 1), None)
+            p1 = _predictions(params, records).get(1)
             col.check(
                 "instanton-c1-crosscheck",
                 all(t.predicted_dim == 5 for t in triples)

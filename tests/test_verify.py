@@ -17,7 +17,7 @@ from scroll_ulrich import chow, cohomology, extensions, tower, ulrich
 from scroll_ulrich.chow import Codim2Class, DivisorClass, mul_div_c2, mul_div_div
 from scroll_ulrich.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
 from scroll_ulrich.tower import TowerBundle, _quotients
-from scroll_ulrich.ulrich import SWAP_TAG
+from scroll_ulrich.ulrich import DUAL_TAG, SWAP_TAG
 
 F = DivisorClass(0, 0, 1)  # the fibre class: adds one to z
 
@@ -61,7 +61,7 @@ def test_swapped_swap_tag_entry_is_caught(monkeypatch):
     monkeypatch.setitem(SWAP_TAG, "L", "M")
     monkeypatch.setitem(SWAP_TAG, "L_dual", "M_dual")
     row = _status((0, 0, 2), "ext-involution-orbits")
-    assert not row.ok and "swap tags wrong" in row.detail
+    assert not row.ok and "swap image of case 2: sub_tag not transported" in row.detail
 
 
 @pytest.mark.parametrize("cell, case, message", [
@@ -696,27 +696,34 @@ def test_end_field_plus_one_on_one_case_fails_the_transport(monkeypatch, capsys,
 
 
 def _perturbations(r):
-    """Each value field of the record r perturbed alone: +1, +F, +xi.C0 or a flip."""
-    for field in ("ext_dim", "c1", "c2", "chi_endo", "h2_endo", "special",
-                  "c1_twisted", "c2_twisted"):
-        value = getattr(r, field)
+    """Each field of the record r perturbed alone, as (field, record): +1, +F, +xi.C0,
+    a flip or the dual tag; the obstruction as each of its two flags."""
+    for field, value in zip(r._fields, r):
+        if field == "obstruction":
+            yield "from_base_a", _flip_from_base_a(r)
+            yield "from_base_b", r._replace(
+                obstruction=value._replace(from_base_b=not value.from_base_b))
+            continue
         if isinstance(value, bool):
             value = not value
         elif value is None:  # a refused h2_endo
             value = 0
+        elif isinstance(value, str):
+            value = DUAL_TAG[value]
         elif isinstance(value, int):
             value += 1
-        else:
-            value += F if isinstance(value, DivisorClass) else XI_C0
+        elif isinstance(value, DivisorClass):
+            value += F
+        elif isinstance(value, Codim2Class):
+            value += XI_C0
+        else:  # a field of a type without a perturbation: the census names it as unperturbed
+            continue
         yield field, r._replace(**{field: value})
-    flags = r.obstruction
-    yield "from_base_a", _flip_from_base_a(r)
-    yield "from_base_b", r._replace(obstruction=flags._replace(from_base_b=not flags.from_base_b))
 
 
 def test_transport_reports_every_field_perturbation():
-    # 58 records, 10 value fields each; ROADMAP item 16: every field has an oracle
-    missed, n = [], 0
+    # 58 records, 15 perturbations each: ROADMAP item 16, every field has an oracle
+    missed, n, perturbed = [], 0, set()
     for cell in [(0, 0, 3), (0, 1, 3), (1, 2, 4), (2, 3, 7), (0, 3, 5)]:
         p = ScrollParams(*cell)
         records = enumerate_cases(p, classify_ulrich_line_bundles(p))
@@ -725,11 +732,14 @@ def test_transport_reports_every_field_perturbation():
         for i, r in enumerate(records):
             for field, slipped in _perturbations(r):
                 n += 1
+                perturbed.add(field)
                 mutated = records[:i] + [slipped] + records[i + 1:]
                 if not any(verify._check_involution_orbits(
                         p, mutated, mutated if p.a == p.b else swapped)):
                     missed.append((cell, r.case_id, field))
-    assert (n, missed) == (580, [])
+    assert perturbed == set(extensions.Rank2ExtensionRecord._fields) - {"obstruction"} | {
+        "from_base_a", "from_base_b"}
+    assert (n, missed) == (870, [])
 
 
 def test_transport_duals_each_bundle_once(monkeypatch):
@@ -787,19 +797,42 @@ def _renumbered_cases(monkeypatch, old, new):
         _patch_everywhere(monkeypatch, getattr(extensions, name), mutant[name], name)
 
 
+def _grid_failures(argv, capsys) -> set[str]:
+    """The checks `verify argv` fails, run through the CLI: exit 1, no crash."""
+    assert main(["verify", *argv]) == EXIT_VERIFY_FAILED
+    report = json.loads(capsys.readouterr().out)
+    rows = next(t for t in report["tables"] if t["name"] == "checks")["rows"]
+    return {row[3] for row in rows if row[4] == "FAIL"}
+
+
+BENCHMARK_GRID = ["--a", "0..3", "--b", "0..3", "--normalize"]
+WIDE_GRID = ["--a", "0..6", "--b", "0..6"]  # both orders of (a, b)
+
+
 @pytest.mark.parametrize("old, new", [
     ('frozenset({"N_dual", "M_dual"}): 15,', 'frozenset({"N_dual", "M_dual"}): 16,'),
     ('frozenset({"L_dual", "N"}): 5,', 'frozenset({"L_dual", "N"}): 4,'),
 ], ids=["case-15-as-16", "case-5-on-case-4"])
-def test_renumbered_case_fails_ext_case_numbering_alone(monkeypatch, capsys, old, new):
+def test_renumbered_case_fails_the_numbering_and_the_case_ids(monkeypatch, capsys, old, new):
     # each renumbering agrees with itself in the records, the orbits and the
-    # expected cases, so no other row of the benchmark grid sees it
+    # expected cases: only ext-case-numbering, which reads the table, and the
+    # case_id oracle of ext-involution-orbits, which reads the records, see it
     _renumbered_cases(monkeypatch, old, new)
-    argv = ["verify", "--a", "0..3", "--b", "0..3", "--normalize"]
-    assert main(argv) == EXIT_VERIFY_FAILED
-    report = json.loads(capsys.readouterr().out)
-    rows = next(t for t in report["tables"] if t["name"] == "checks")["rows"]
-    assert {row[3] for row in rows if row[4] == "FAIL"} == {"ext-case-numbering"}
+    assert _grid_failures(BENCHMARK_GRID, capsys) == {"ext-case-numbering",
+                                                      "ext-involution-orbits"}
+
+
+@pytest.mark.parametrize("tags, case, grid", [
+    (("L", "N"), 6, BENCHMARK_GRID), (("L", "N"), 6, WIDE_GRID),
+    (("N", "M"), 15, BENCHMARK_GRID), (("N", "M"), 15, WIDE_GRID),
+    (("N", "M"), 16, BENCHMARK_GRID),
+], ids=["L-N-as-6", "L-N-as-6-wide", "N-M-as-15", "N-M-as-15-wide", "N-M-as-16"])
+def test_wrong_record_case_id_fails_the_transport_alone(monkeypatch, capsys, tags, case, grid):
+    # 6 and 15 are the cases of the dual pairs: the record stays in its orbit and
+    # CASE_OF_PAIR is kept, so only the case_id oracle sees it; 16 is out of the
+    # numbering, and fails a row, not the run
+    monkeypatch.setitem(extensions._CASE_OF_TAGS, tags, case)
+    assert _grid_failures(grid, capsys) == {"ext-involution-orbits"}
 
 
 def test_patching_an_unbound_name_fails_the_control(monkeypatch):
