@@ -30,9 +30,12 @@ the NamedTuple's own __new__ is a Python-level call (285 ns a class against
 169 ns; timeit, CPython 3.11.7 on a Xeon core).  They read a class, a vector
 or the parameters by tuple unpacking, `x, y, z = div`, because a read by
 field name goes through a descriptor that CPython 3.11 does not specialise
-(three reads 57 ns, one unpacking 45 ns).  Neither changes a value.  Code
-off the hot paths keeps the NamedTuple constructors and the field names; so
-does ScrollParams, whose constructor validates.
+(three reads 57 ns, one unpacking 45 ns).  Where a class is only read, they
+build none: cohomology.chi unpacks any (x, y, z) triple, so the chi sums over
+a filtration pass it plain tuples of differences, not a class per term.
+Neither changes a value.  Code off the hot paths keeps the NamedTuple
+constructors and the field names; so does ScrollParams, whose constructor
+validates.
 
 ScrollParams keeps the classes every cell reads again, each built once per
 instance on first use: h, canonical, kx4h = K_X + 4h and h_squared = h.h.

@@ -16,10 +16,12 @@ The alternating sum of any h-vector equals half the closed polynomial
 for *all* integer (x, y, z) (Riemann-Roch; Fulton, Intersection Theory,
 Cor. 15.2.1).  twice_chi is the one spelling of this polynomial: the sieve of
 ulrich.is_ulrich_line reads it, and `chi` halves it and never asks h_scroll, so
-the O(r^2) chi sums of the tower report cost no cohomology.  Against the
-h-vectors it is the strongest correctness oracle for the sign branches:
-`verify` compares the two on every line of its cohomology box, and the
-test suite exercises it heavily.
+the O(r^2) chi sums of the tower report cost no cohomology.  `chi` takes any
+(x, y, z) triple: chi_filtered unpacks its line once and hands `chi` each
+difference q - line as a plain tuple, so a term of those sums builds no
+class.  Against the h-vectors the polynomial is the strongest correctness
+oracle for the sign branches: `verify` compares the two on every line of its
+cohomology box, and the test suite exercises it heavily.
 
 The surface layer is closed-form.  For alpha >= 0 the P^1 sums
 
@@ -127,11 +129,12 @@ def twice_chi(a: int, b: int, x: int, y: int, z: int) -> int:
     return (x + 1) * (y + 1) * (2 * z + 2 - b * x - a * y)
 
 
-def chi(params: ScrollParams, div: DivisorClass) -> int:
-    """Euler characteristic h0 - h1 + h2 - h3: half of twice_chi, which is even.
+def chi(params: ScrollParams, div: tuple[int, int, int]) -> int:
+    """Euler characteristic h0 - h1 + h2 - h3 of O(x, y, z): half of twice_chi, which is even.
 
-    Never asks h_scroll; `verify` certifies the polynomial against every h^i
-    of the cohomology box (cohomology-chi-oracle).
+    `div` is any (x, y, z) triple, a DivisorClass or a plain tuple; it is read
+    by unpacking.  Never asks h_scroll; `verify` certifies the polynomial
+    against every h^i of the cohomology box (cohomology-chi-oracle).
     """
     a, b, _ = params
     x, y, z = div
@@ -141,10 +144,15 @@ def chi(params: ScrollParams, div: DivisorClass) -> int:
 def chi_filtered(
     params: ScrollParams, quotients: Iterable[DivisorClass], line: DivisorClass
 ) -> int:
-    """chi(E (x) line^dual) for E filtered by `quotients`: additive, sum of chi(q - line)."""
+    """chi(E (x) line^dual) for E filtered by `quotients`: additive, sum of chi(q - line).
+
+    `line` is unpacked once, and each difference q - line reaches chi as a plain
+    (x, y, z) triple, so a term builds no DivisorClass.
+    """
+    lx, ly, lz = line
     total = 0
-    for q in quotients:
-        total += chi(params, q - line)
+    for x, y, z in quotients:
+        total += chi(params, (x - lx, y - ly, z - lz))
     return total
 
 

@@ -46,7 +46,7 @@ flag against a second record already.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator, Set as AbstractSet
 from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple
@@ -180,15 +180,15 @@ def verify_scan_bounds(params: ScrollParams) -> bool:
 
 
 def _classification_checks(
-    col: _Collector, params: ScrollParams, records: Bundles, swapped_records: Bundles
+    col: _Collector, params: ScrollParams, forms: dict[str, DivisorClass], records: Bundles,
+    swapped_records: Bundles,
 ):
-    """`records`, `swapped_records`: the classification of params and of params.swapped()."""
+    """`forms`: named_line_bundles(params); `records`, `swapped_records`: the
+    classification of params and of params.swapped()."""
     _, d, g = numerical_invariants(params)
     col.equal("ulrich-count", len(records), expected_count(params))
     unnamed = [r.divisor.as_tuple() for r in records if r.tag == "other"]
     col.check("ulrich-no-unnamed", not unnamed, str(unnamed) if unnamed else "")
-
-    forms = named_line_bundles(params)
     col.equal(
         "ulrich-closed-forms",
         {r.tag: r.divisor.as_tuple() for r in records},
@@ -340,18 +340,20 @@ _PAPER_CASE = {(s, q): case for case, (u, v) in enumerate(PAPER_CASES, start=1)
 
 
 def _check_involution_orbits(
-    params: ScrollParams, records: Collection[Rank2ExtensionRecord], swapped_records: Records
+    params: ScrollParams, tags: AbstractSet[str], records: Collection[Rank2ExtensionRecord],
+    swapped_records: Records,
 ) -> Iterator[str]:
     """Yield a message for each failure of the case set or of an involution transport.
 
-    `records`, `swapped_records`: enumerate_cases of params and params.swapped().
+    `tags`: the tags of named_line_bundles(params), from which the expected case
+    set derives; `records`, `swapped_records`: enumerate_cases of params and
+    params.swapped().
     Each involution maps a record to the key (sub, quotient) of its image and
     to the fields from sub_tag on that it predicts there; the image is compared
     with the prediction as one tuple, and on a mismatch a message names each
     field that differs.  K_X + 4h, K_X + 2h, their squares and the dual and
     swap image of each bundle are computed once per cell.
     """
-    tags = set(named_line_bundles(params))
     expected = {case for pair, case in CASE_OF_PAIR.items() if pair <= tags}
     seen_cases = {r.case_id for r in records}
     if seen_cases != expected:
@@ -412,7 +414,10 @@ def _read(rec: ByTags, sub_tag: str, quot_tag: str, field: str):
     return tuple(value) if isinstance(value, tuple) else value
 
 
-def _ext_checks(col: _Collector, params: ScrollParams, rec: ByTags, swapped_records: Records):
+def _ext_checks(
+    col: _Collector, params: ScrollParams, tags: AbstractSet[str], rec: ByTags,
+    swapped_records: Records,
+):
     a, b, c = params.a, params.b, params.c
     e = lambda u, v: _read(rec, v, u, "ext_dim")  # ext^1(u, v): quotient u, sub v
 
@@ -431,7 +436,7 @@ def _ext_checks(col: _Collector, params: ScrollParams, rec: ByTags, swapped_reco
 
     # the ordered-pair matrix transports along both involutions
     col.first("ext-involution-orbits",
-              _check_involution_orbits(params, rec.values(), swapped_records))
+              _check_involution_orbits(params, tags, rec.values(), swapped_records))
 
 
 def _chern_checks(col: _Collector, params: ScrollParams, rec: ByTags):
@@ -589,13 +594,14 @@ def run_cell_checks(cell: tuple[int, int, int], cohomology: Failures) -> list[Ch
     bundles = classify_ulrich_line_bundles(params)
     sw = params.swapped()
     swapped_bundles = bundles if a == b else classify_ulrich_line_bundles(sw)
-    _classification_checks(col, params, bundles, swapped_bundles)
+    forms = named_line_bundles(params)
+    _classification_checks(col, params, forms, bundles, swapped_bundles)
     _chow_checks(col, params)
     _cohomology_checks(col, cohomology)
     records = enumerate_cases(params, bundles)
     swapped_records = records if a == b else enumerate_cases(sw, swapped_bundles)
     rec = {(r.sub_tag, r.quot_tag): r for r in records}
-    _ext_checks(col, params, rec, swapped_records)
+    _ext_checks(col, params, forms.keys(), rec, swapped_records)
     _chern_checks(col, params, rec)
     _endo_checks(col, params, rec)
     _moduli_checks(col, params, rec, _predictions(params, records))

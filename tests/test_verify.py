@@ -45,6 +45,7 @@ def test_involution_transport_checks_pass_on_grid():
         q = p.swapped()
         failures = verify._check_involution_orbits(
             p,
+            ulrich.named_line_bundles(p).keys(),
             enumerate_cases(p, classify_ulrich_line_bundles(p)),
             enumerate_cases(q, classify_ulrich_line_bundles(q)),
         )
@@ -342,9 +343,10 @@ def test_chi_closed_form_plus_one_is_caught(monkeypatch, capsys):
 def test_riemann_roch_plus_one_at_x_minus_two_is_caught(monkeypatch, capsys):
     # one Riemann-Roch body, chi: the tower's pair sums and the rank-two chi(End)
     # read it by that name, verify's box through chi_closed_form.  x = -2 holds
-    # N^U - N, so the tower and case-1 rows fail, and so does the box.
+    # N^U - N, so the tower and case-1 rows fail, and so does the box.  The sums
+    # pass chi plain (x, y, z) tuples, so x is read by index.
     original = cohomology.chi
-    _patch_everywhere(monkeypatch, original, lambda p, d: original(p, d) + (d.x == -2))
+    _patch_everywhere(monkeypatch, original, lambda p, d: original(p, d) + (d[0] == -2))
     assert {"tower-closed-forms", "endo-case1-chi", "cohomology-chi-oracle"} <= _cli_failures(
         (0, 1, 3), capsys
     )
@@ -729,13 +731,14 @@ def test_transport_reports_every_field_perturbation():
         records = enumerate_cases(p, classify_ulrich_line_bundles(p))
         q = p.swapped()
         swapped = enumerate_cases(q, classify_ulrich_line_bundles(q))
+        tags = ulrich.named_line_bundles(p).keys()
         for i, r in enumerate(records):
             for field, slipped in _perturbations(r):
                 n += 1
                 perturbed.add(field)
                 mutated = records[:i] + [slipped] + records[i + 1:]
                 if not any(verify._check_involution_orbits(
-                        p, mutated, mutated if p.a == p.b else swapped)):
+                        p, tags, mutated, mutated if p.a == p.b else swapped)):
                     missed.append((cell, r.case_id, field))
     assert perturbed == set(extensions.Rank2ExtensionRecord._fields) - {"obstruction"} | {
         "from_base_a", "from_base_b"}
@@ -754,7 +757,8 @@ def test_transport_duals_each_bundle_once(monkeypatch):
     monkeypatch.setattr(verify, "ulrich_dual", counted)
     p = ScrollParams(0, 0, 3)
     records = enumerate_cases(p, classify_ulrich_line_bundles(p))
-    assert list(verify._check_involution_orbits(p, records, records)) == []
+    tags = ulrich.named_line_bundles(p).keys()
+    assert list(verify._check_involution_orbits(p, tags, records, records)) == []
     assert len(records) == 30 and len(calls) == len(set(calls)) == 6
 
 
@@ -783,6 +787,23 @@ def test_tower_cell_builds_no_named_forms(monkeypatch):
     _patch_everywhere(monkeypatch, original, counted)
     assert list(verify._check_tower(ScrollParams(0, 1, 3))) == []
     assert calls == []
+
+
+def test_cell_builds_the_named_forms_once(monkeypatch):
+    # the classification rows and the expected case set of the transport read
+    # one named_line_bundles of the cell
+    calls = []
+    original = verify.named_line_bundles
+
+    def counted(params):
+        calls.append(params)
+        return original(params)
+
+    monkeypatch.setattr(verify, "named_line_bundles", counted)
+    for cell in [(0, 1, 3), (1, 1, 3)]:
+        calls.clear()
+        assert all(r.ok for r in _cell_checks(cell))
+        assert calls == [cell]
 
 
 def _renumbered_cases(monkeypatch, old, new):
