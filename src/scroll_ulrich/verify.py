@@ -27,6 +27,12 @@ their certificate (`tower-closed-forms`, with the one copy of the h^1
 closed form) and the bound of its hypothesis (`tower-hypothesis`: both h^1
 seeds equal 3 on a <= b exactly where in_tower_hypothesis holds).
 
+The rank-two closed forms are one table, `_closed_forms`, of the rows that
+read each record, by its two tags; a moduli row reads the prediction of the
+record's case, as PAPER_CASES numbers it.  A record's rows run exactly where
+both its tags are keys of named_line_bundles (case 2 at a = 0, case 7 at
+b = 0), as do the dual pairs of two more rows: no row is placed by hand.
+
 The transport reaches every field of a record.  Each involution maps the
 record of (sub, quot) to the record of the image pair and predicts its
 fields from sub_tag on: the tags by DUAL_TAG or SWAP_TAG, the case_id as
@@ -407,88 +413,129 @@ def _check_involution_orbits(
                                f" at {params}")
 
 
-def _read(rec: ByTags, sub_tag: str, quot_tag: str, field: str):
-    """`field` of the record (sub_tag, quot_tag), a class as a plain tuple; None if missing."""
-    r = rec.get((sub_tag, quot_tag))
-    value = None if r is None else getattr(r, field)
-    return tuple(value) if isinstance(value, tuple) else value
+# The fields a moduli row reads: those of the prediction of its record's case, then
+# those of the record itself.
+_SHAPE = ("dimension_kind", "dimension", "generically_smooth"), ()
+_SPECIAL = ("special",), ("special",)
+_POINT = ("dimension_kind", "dimension", "special"), ("special",)
+
+# The record of each dual pair that the End rows read.
+_DUAL_PAIRS = (("N_dual", "N"), ("L_dual", "L"), ("M", "M_dual"))
 
 
-def _ext_checks(
+def _closed_forms(a: int, b: int, c: int) -> dict[tuple[str, str], tuple[tuple, ...]]:
+    """The closed forms of the rank-two records: (sub_tag, quot_tag) -> its rows.
+
+    Each row (check, field, form) compares `field` of the record with `form`,
+    a class as a plain tuple; a moduli row's field is a pair of field names
+    (_SHAPE, _SPECIAL, _POINT), of the prediction of the record's case and of
+    the record.  ext^1(u, v) is the ext_dim of the record (v, u).
+    """
+    return {
+        ("N_dual", "N"): (
+            ("ext-N-NU", "ext_dim", a + 2 if a > 0 else 3),
+            ("chern-case1-c1", "c1", (2, 2, 4 * c - a - b - 2)),
+            ("chern-case1-c2", "c2", (4, 2 * (2 * c - b - 1), 2 * (2 * c - a - 1))),
+            ("obstruction-case1", "obstruction", (True, True)),
+            ("twist-case1-c1", "c1_twisted", (0, 0, 2 * c - a - b - 2)),
+            ("twist-case1-c2", "c2_twisted", (2, a, b)),
+            ("endo-case1-chi", "chi_endo", -4),
+            # h^2(End F) is computed where its vanishing hypothesis holds, and refused (None)
+            # where it fails
+            ("endo-case1-h2", "h2_endo", max(b - 1, 0)) if a <= 1
+            else ("endo-case1-h2-guard", "h2_endo", None),
+            ("moduli-case1", _SHAPE,
+             ("exact", 5, True) if max(a, b) <= 1 else ("at_least_if_stable", 5, None)),
+            ("moduli-case1-special", _SPECIAL, (True, True)),
+        ),
+        ("N", "N_dual"): (("ext-NU-N", "ext_dim", b + 2 if b > 0 else 3),),
+        ("L_dual", "L"): (
+            ("ext-L-LU", "ext_dim", 3 * (2 * c - b - 1)),
+            ("chern-case2-c1", "c1", (2, 2, 4 * c - b - 2)),
+            ("chern-case2-c2", "c2", (2, 2 * (2 * c - b - 1), 2 * (3 * c - b - 1))),
+            ("obstruction-case2", "obstruction", (False, True)),
+            ("twist-case2-c1", "c1_twisted", (0, 0, 2 * c - b - 2)),
+            ("twist-case2-c2", "c2_twisted", (0, 0, 2 * c - b)),
+            ("endo-case2-chi", "chi_endo", 4 - 4 * (2 * c - b)),
+            ("endo-case2-h2", "h2_endo", 0),
+            ("moduli-case2", _SHAPE, ("exact", 4 * (2 * c - b) - 3, True)),
+            ("moduli-case2-special", _SPECIAL, (True, True)),
+        ),
+        ("L", "L_dual"): (("ext-LU-L", "ext_dim", 2 * c - b + 1),),
+        ("L", "N"): (("ext-N-L", "ext_dim", 0),),
+        ("N", "L"): (
+            ("ext-L-N", "ext_dim", 2 * c - b - 2),
+            ("chern-case3-c1", "c1", (3, 0, 5 * c - b - 2)),
+            ("chern-case3-c2", "c2", (0, 8 * c - 4 * b - 3, 0)),
+            ("obstruction-case3", "obstruction", (True, True)),
+            ("moduli-case3", _POINT, ("point", 0, False, False)),
+        ),
+        ("L", "N_dual"): (
+            ("ext-NU-L", "ext_dim", 2 * c - b + 2),
+            ("chern-case4-c1", "c1", (1, 2, 5 * c - 2 * b - 2)),
+            ("chern-case4-c2", "c2", (2, 2 * c - b - 1, 2 * (3 * c - b - 1))),
+            ("obstruction-case4", "obstruction", (True, True)),
+            ("moduli-case4", _POINT, ("point", 0, False, False)),
+        ),
+        ("N", "L_dual"): (
+            ("chern-case5-c1", "c1", (3, 2, 3 * c - 2)),
+            ("chern-case5-c2", "c2", (4, 4 * c - 2 * b - 3, 2 * (2 * c - 1))),
+            ("obstruction-case5", "obstruction", (True, True)),
+        ),
+        ("L_dual", "N_dual"): (
+            ("chern-case6-c1", "c1", (1, 4, 3 * c - b - 2)),
+            ("chern-case6-c2", "c2", (2, 2 * c - b - 1, 2 * (3 * c - b - 2))),
+            ("obstruction-case6", "obstruction", (True, True)),
+        ),
+        ("M_dual", "M"): (
+            ("chern-case7-c1", "c1", (2, 2, 4 * c - a - 2)),
+            ("chern-case7-c2", "c2", (2, 2 * (3 * c - a - 1), 2 * (2 * c - a - 1))),
+            ("obstruction-case7", "obstruction", (True, False)),
+        ),
+        ("M", "M_dual"): (
+            ("endo-case7-chi", "chi_endo", 4 - 4 * (2 * c - a)),
+            ("endo-case7-h2", "h2_endo", 0),
+            ("moduli-case7", _SHAPE, ("exact", 4 * (2 * c - a) - 3, True)),
+            ("moduli-case7-special", _SPECIAL, (True, True)),
+        ),
+        ("M", "L"): (
+            ("ext-L-M", "ext_dim", 8 * c - 4),
+            ("chern-case8-c1", "c1", (3, 1, 2 * (2 * c - 1))),
+            ("chern-case8-c2", "c2", (1, 7 * c - 3, 3 * c - 1)),
+            ("obstruction-case8", "obstruction", (True, True)),
+            ("moduli-case8", _POINT, ("point", 0, False, False)),
+        ),
+        ("M_dual", "L"): (("ext-L-MU", "ext_dim", 0),),
+        ("L", "M_dual"): (
+            ("ext-MU-L", "ext_dim", 0),
+            ("moduli-case9", _POINT, ("point", 0, False, False)),
+        ),
+    }
+
+
+def _rank2_checks(
     col: _Collector, params: ScrollParams, tags: AbstractSet[str], rec: ByTags,
-    swapped_records: Records,
+    predictions: Predictions,
 ):
-    a, b, c = params.a, params.b, params.c
-    e = lambda u, v: _read(rec, v, u, "ext_dim")  # ext^1(u, v): quotient u, sub v
-
-    col.equal("ext-N-NU", e("N", "N_dual"), a + 2 if a > 0 else 3)
-    col.equal("ext-NU-N", e("N_dual", "N"), b + 2 if b > 0 else 3)
-    if a == 0:
-        col.equal("ext-L-LU", e("L", "L_dual"), 3 * (2 * c - b - 1))
-        col.equal("ext-LU-L", e("L_dual", "L"), 2 * c - b + 1)
-        col.equal("ext-N-L", e("N", "L"), 0)
-        col.equal("ext-L-N", e("L", "N"), 2 * c - b - 2)
-        col.equal("ext-NU-L", e("N_dual", "L"), 2 * c - b + 2)
-    if a == 0 and b == 0:
-        col.equal("ext-L-M", e("L", "M"), 8 * c - 4)
-        col.equal("ext-L-MU", e("L", "M_dual"), 0)
-        col.equal("ext-MU-L", e("M_dual", "L"), 0)
-
-    # the ordered-pair matrix transports along both involutions
-    col.first("ext-involution-orbits",
-              _check_involution_orbits(params, tags, rec.values(), swapped_records))
-
-
-def _chern_checks(col: _Collector, params: ScrollParams, rec: ByTags):
-    a, b, c = params.a, params.b, params.c
-
-    def case(name, sub_tag, quot_tag, c1_want, c2_want, obstructed_a, obstructed_b):
-        col.equal(f"chern-{name}-c1", _read(rec, sub_tag, quot_tag, "c1"), c1_want)
-        col.equal(f"chern-{name}-c2", _read(rec, sub_tag, quot_tag, "c2"), c2_want)
-        col.equal(f"obstruction-{name}", _read(rec, sub_tag, quot_tag, "obstruction"),
-                  (obstructed_a, obstructed_b))
-
-    case("case1", "N_dual", "N",
-         (2, 2, 4 * c - a - b - 2),
-         (4, 2 * (2 * c - b - 1), 2 * (2 * c - a - 1)),
-         True, True)
-    if a == 0:
-        case("case2", "L_dual", "L",
-             (2, 2, 4 * c - b - 2),
-             (2, 2 * (2 * c - b - 1), 2 * (3 * c - b - 1)),
-             False, True)
-        case("case3", "N", "L",
-             (3, 0, 5 * c - b - 2),
-             (0, 8 * c - 4 * b - 3, 0),
-             True, True)
-        case("case4", "L", "N_dual",
-             (1, 2, 5 * c - 2 * b - 2),
-             (2, 2 * c - b - 1, 2 * (3 * c - b - 1)),
-             True, True)
-        case("case5", "N", "L_dual",
-             (3, 2, 3 * c - 2),
-             (4, 4 * c - 2 * b - 3, 2 * (2 * c - 1)),
-             True, True)
-        case("case6", "L_dual", "N_dual",
-             (1, 4, 3 * c - b - 2),
-             (2, 2 * c - b - 1, 2 * (3 * c - b - 2)),
-             True, True)
-    if a == 0 and b == 0:
-        case("case7", "M_dual", "M",
-             (2, 2, 2 * (2 * c - 1)),
-             (2, 2 * (3 * c - 1), 2 * (2 * c - 1)),
-             True, False)
-        case("case8", "M", "L",
-             (3, 1, 2 * (2 * c - 1)),
-             (1, 7 * c - 3, 3 * c - 1),
-             True, True)
-
-    # the twist by -h of the case-1 and case-2 bundles, in closed form
-    col.equal("twist-case1-c1", _read(rec, "N_dual", "N", "c1_twisted"), (0, 0, 2 * c - a - b - 2))
-    col.equal("twist-case1-c2", _read(rec, "N_dual", "N", "c2_twisted"), (2, a, b))
-    if a == 0:
-        col.equal("twist-case2-c1", _read(rec, "L_dual", "L", "c1_twisted"), (0, 0, 2 * c - b - 2))
-        col.equal("twist-case2-c2", _read(rec, "L_dual", "L", "c2_twisted"), (0, 0, 2 * c - b))
+    """The rows of _closed_forms on each record whose two tags are in `tags`, the
+    tags of named_line_bundles(params); a missing record fails its rows."""
+    for key, rows in _closed_forms(*params).items():
+        if key[0] not in tags or key[1] not in tags:
+            continue
+        r = rec.get(key)
+        p = predictions.get(_PAPER_CASE[key])  # a case without records has none
+        for name, field, form in rows:
+            if r is None:
+                col.check(name, False, f"record {key} missing")
+                continue
+            if isinstance(field, str):
+                value = getattr(r, field)
+                value = tuple(value) if isinstance(value, tuple) else value
+            else:
+                of_prediction, of_record = field
+                value = (*(getattr(p, f, None) for f in of_prediction),
+                         *(getattr(r, f) for f in of_record))
+            col.equal(name, value, form)
 
     # slope of every extension c1 equals d + g - 1 per rank
     _, d, g = numerical_invariants(params)
@@ -496,83 +543,20 @@ def _chern_checks(col: _Collector, params: ScrollParams, rec: ByTags):
     col.first("extension-slope",
               (f"case {r.case_id}" for r in rec.values() if slope(params, r.c1, 2) != mu))
 
-
-def _endo_checks(col: _Collector, params: ScrollParams, rec: ByTags):
-    a, b, c = params.a, params.b, params.c
-    chi_end = lambda sub_tag, quot_tag: _read(rec, sub_tag, quot_tag, "chi_endo")
-    h2_end = lambda sub_tag, quot_tag: _read(rec, sub_tag, quot_tag, "h2_endo")
-
-    alpha = b + 2 if b >= 1 else 3
-    delta = b - 1 if b >= 2 else 0
-    if a == 0:
-        col.equal("endo-case1-chi", chi_end("N_dual", "N"), delta - alpha - 1)
-        col.equal("endo-case1-h2", h2_end("N_dual", "N"), delta)
-        col.equal("endo-case2-chi", chi_end("L_dual", "L"), 4 - 4 * (2 * c - b))
-        col.equal("endo-case2-h2", h2_end("L_dual", "L"), 0)
-    else:
-        col.equal("endo-case1-chi", chi_end("N_dual", "N"), -4)
-        if a == 1:
-            col.equal("endo-case1-h2", h2_end("N_dual", "N"), delta)
-        else:
-            # a refused h^2 is stored as None; a missing record is no refusal
-            refused = ("N_dual", "N") in rec and h2_end("N_dual", "N") is None
-            col.check("endo-case1-h2-guard", refused, "expected hypothesis failure")
-    if b == 0:  # case 7, the base-swap image of case 2
-        col.equal("endo-case7-chi", chi_end("M", "M_dual"), 4 - 4 * (2 * c - a))
-        col.equal("endo-case7-h2", h2_end("M", "M_dual"), 0)
-
-    # chi(End) of every dual pair is non-positive (positive-dim deformations)
-    pairs = [("N_dual", "N")]
-    if a == 0:
-        pairs.append(("L_dual", "L"))
-    if b == 0:
-        pairs.append(("M_dual", "M"))
-    chis = [chi_end(*pair) for pair in pairs]
-    col.check("endo-dual-pairs-nonpositive", all(x is not None and x <= 0 for x in chis))
-
-
-def _moduli_checks(col: _Collector, params: ScrollParams, rec: ByTags, predictions: Predictions):
-    a, b, c = params.a, params.b, params.c
-    special = lambda sub_tag, quot_tag: _read(rec, sub_tag, quot_tag, "special")
-
-    def predicted(case: int, *fields: str) -> tuple:
-        # a case without records has no prediction: all None, so its rows fail
-        return tuple(getattr(predictions.get(case), field, None) for field in fields)
-
-    shape = ("dimension_kind", "dimension", "generically_smooth")
-    smooth = [(1, ("N_dual", "N"))]  # (case, the pair _endo_checks reads)
-    if max(a, b) <= 1:
-        col.equal("moduli-case1", predicted(1, *shape), ("exact", 5, True))
-    else:
-        col.equal("moduli-case1", predicted(1, *shape), ("at_least_if_stable", 5, None))
-    col.equal("moduli-case1-special", (*predicted(1, "special"), special("N_dual", "N")),
-              (True, True))
-    if a == 0:
-        col.equal("moduli-case2", predicted(2, *shape), ("exact", 4 * (2 * c - b) - 3, True))
-        col.equal("moduli-case2-special", (*predicted(2, "special"), special("L_dual", "L")),
-                  (True, True))
-        smooth.append((2, ("L_dual", "L")))
-    if b == 0:  # case 7, the base-swap image of case 2
-        col.equal("moduli-case7", predicted(7, *shape), ("exact", 4 * (2 * c - a) - 3, True))
-        col.equal("moduli-case7-special", (*predicted(7, "special"), special("M", "M_dual")),
-                  (True, True))
-        smooth.append((7, ("M", "M_dual")))
-    # the point cases: dimension 0, neither the prediction nor the record special
-    points = [(3, ("N", "L")), (4, ("L", "N_dual"))] if a == 0 else []
-    if a == 0 and b == 0:
-        points += [(8, ("M", "L")), (9, ("L", "M_dual"))]
-    for k, pair in points:
-        col.equal(f"moduli-case{k}",
-                  (*predicted(k, "dimension_kind", "dimension", "special"), special(*pair)),
-                  ("point", 0, False, False))
+    # each dual pair whose two tags are named: chi(End F) is non-positive (positive-
+    # dimensional deformations), and its case is generically smooth exactly where the
+    # computed h^2(End F) vanishes
+    pairs = [key for key in _DUAL_PAIRS if key[0] in tags and key[1] in tags]
+    col.check("endo-dual-pairs-nonpositive", all(key in rec and rec[key].chi_endo <= 0
+                                                 for key in pairs))
 
     def smooth_vs_h2() -> Iterator[str]:
-        # generically smooth exactly where the computed h^2(End F) vanishes
-        for k, pair in smooth:
-            (smooth_k,) = predicted(k, "generically_smooth")
-            h2 = _read(rec, *pair, "h2_endo")
-            if pair not in rec or (smooth_k is True) != (h2 == 0):
-                yield f"case {k}: generically_smooth {smooth_k}, h2_endo {h2}"
+        for key in pairs:
+            k = _PAPER_CASE[key]
+            smooth = getattr(predictions.get(k), "generically_smooth", None)
+            h2 = getattr(rec.get(key), "h2_endo", None)
+            if key not in rec or (smooth is True) != (h2 == 0):
+                yield f"case {k}: generically_smooth {smooth}, h2_endo {h2}"
 
     col.first("moduli-smooth-h2", smooth_vs_h2())
 
@@ -601,10 +585,11 @@ def run_cell_checks(cell: tuple[int, int, int], cohomology: Failures) -> list[Ch
     records = enumerate_cases(params, bundles)
     swapped_records = records if a == b else enumerate_cases(sw, swapped_bundles)
     rec = {(r.sub_tag, r.quot_tag): r for r in records}
-    _ext_checks(col, params, forms.keys(), rec, swapped_records)
-    _chern_checks(col, params, rec)
-    _endo_checks(col, params, rec)
-    _moduli_checks(col, params, rec, _predictions(params, records))
+    tags = forms.keys()
+    # the ordered-pair matrix transports along both involutions
+    col.first("ext-involution-orbits",
+              _check_involution_orbits(params, tags, rec.values(), swapped_records))
+    _rank2_checks(col, params, tags, rec, _predictions(params, records))
     return col.results
 
 

@@ -8,6 +8,7 @@ exit 1 with the ledger on stdout, not crash.
 
 import inspect
 import json
+import re
 import sys
 
 import pytest
@@ -699,7 +700,8 @@ def test_end_field_plus_one_on_one_case_fails_the_transport(monkeypatch, capsys,
 
 def _perturbations(r):
     """Each field of the record r perturbed alone, as (field, record): +1, +F, +xi.C0,
-    a flip or the dual tag; the obstruction as each of its two flags."""
+    a flip, the dual tag or another string; the obstruction as each of its two flags.
+    A ModuliPrediction is perturbed by the same rules."""
     for field, value in zip(r._fields, r):
         if field == "obstruction":
             yield "from_base_a", _flip_from_base_a(r)
@@ -711,7 +713,7 @@ def _perturbations(r):
         elif value is None:  # a refused h2_endo
             value = 0
         elif isinstance(value, str):
-            value = DUAL_TAG[value]
+            value = DUAL_TAG.get(value, value + "'")
         elif isinstance(value, int):
             value += 1
         elif isinstance(value, DivisorClass):
@@ -743,6 +745,86 @@ def test_transport_reports_every_field_perturbation():
     assert perturbed == set(extensions.Rank2ExtensionRecord._fields) - {"obstruction"} | {
         "from_base_a", "from_base_b"}
     assert (n, missed) == (870, [])
+
+
+# The cells of the closed-form census: together they name every tag pair of the
+# table and reach both branches of case 1's h^2 row; (1, 0, 3) runs the case-7 forms
+# at a > 0.
+_CENSUS_CELLS = [(0, 0, 3), (0, 1, 3), (1, 0, 3), (2, 3, 7)]
+# The record field of each obstruction flag that _perturbations flips.
+_FLAG_FIELD = {"from_base_a": "obstruction", "from_base_b": "obstruction"}
+# The field that a case row's name spells, by the name without its case; a moduli
+# row reads fields of its case's prediction, then of the record.
+_NAMED_FIELD = {"chern-c1": "c1", "chern-c2": "c2", "obstruction": "obstruction",
+                "twist-c1": "c1_twisted", "twist-c2": "c2_twisted", "endo-chi": "chi_endo",
+                "endo-h2": "h2_endo", "endo-h2-guard": "h2_endo",
+                "moduli-special": (("special",), ("special",)),
+                "moduli": (("dimension_kind", "dimension", "generically_smooth"), ()),
+                "moduli-point": (("dimension_kind", "dimension", "special"), ("special",))}
+
+
+def _assert_row_reads_what_it_names(name, key, field):
+    # ext-U-V is ext^1(U, V), the ext_dim of the record (V, U); a case row reads a
+    # record of its case, and the moduli of every case but 1, 2 and 7 are a point
+    if name.startswith("ext-"):
+        quot, sub = (tag.replace("U", "_dual") for tag in name[4:].split("-"))
+        assert (key, field) == ((sub, quot), "ext_dim"), name
+        return
+    kind, case, rest = re.fullmatch(r"(\w+)-case(\d+)(.*)", name).groups()
+    assert set(key) == set(verify.PAPER_CASES[int(case) - 1]), name
+    if kind == "moduli" and not rest and case not in ("1", "2", "7"):
+        rest = "-point"
+    assert field == _NAMED_FIELD[kind + rest], name
+
+
+def test_every_table_row_reads_the_record_and_field_it_names(monkeypatch):
+    # each row of the closed-form table, at each census cell where it runs, fails when
+    # any field it reads is perturbed alone: of the record, or of its case's prediction
+    enumerate_, predict = verify.enumerate_cases, verify.moduli_predictions
+    tabled, exercised = set(), set()
+    for cell in _CENSUS_CELLS:
+        p = ScrollParams(*cell)
+        records = enumerate_(p, classify_ulrich_line_bundles(p))
+        predictions = predict(p, records)
+        cohomology_ = verify.cohomology_failures(p)
+        tags = ulrich.named_line_bundles(p).keys()
+
+        def failing(slipped_records=records, slipped_predictions=predictions):
+            monkeypatch.setattr(verify, "enumerate_cases",
+                                lambda q, bundles: slipped_records if q == p else enumerate_(q, bundles))
+            monkeypatch.setattr(verify, "moduli_predictions", lambda q, rs: slipped_predictions)
+            return {r.check for r in verify.run_cell_checks(cell, cohomology_) if not r.ok}
+
+        assert failing() == set(), cell
+        for key, rows in verify._closed_forms(*cell).items():
+            tabled.update(name for name, _, _ in rows)
+            if not set(key) <= tags:
+                continue
+            i = next(i for i, r in enumerate(records) if (r.sub_tag, r.quot_tag) == key)
+            j = next(j for j, q in enumerate(predictions) if q.case_id == records[i].case_id)
+            for name, field, _ in rows:
+                _assert_row_reads_what_it_names(name, key, field)
+                of_prediction, of_record = ((), (field,)) if isinstance(field, str) else field
+                perturbed = set()
+                for f, slipped in _perturbations(records[i]):
+                    f = _FLAG_FIELD.get(f, f)
+                    if f in of_record:
+                        perturbed.add(("record", f))
+                        assert name in failing(records[:i] + [slipped] + records[i + 1:]), (
+                            cell, name, f)
+                for f, slipped in _perturbations(predictions[j]):
+                    if f in of_prediction:
+                        perturbed.add(("prediction", f))
+                        assert name in failing(slipped_predictions=(
+                            predictions[:j] + [slipped] + predictions[j + 1:])), (cell, name, f)
+                assert perturbed == {("prediction", f) for f in of_prediction} | {
+                    ("record", f) for f in of_record}, (cell, name)
+                exercised.add((name, cell))
+    assert {name for name, _ in exercised} == tabled
+    assert {name for cell in FULL_GRID for _, rows in verify._closed_forms(*cell).items()
+            for name, _, _ in rows} == tabled
+    assert {name for name, cell in exercised if cell == (1, 0, 3)} >= {
+        "chern-case7-c1", "chern-case7-c2", "obstruction-case7"}
 
 
 def test_transport_duals_each_bundle_once(monkeypatch):
