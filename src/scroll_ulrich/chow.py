@@ -31,8 +31,8 @@ the NamedTuple's own __new__ is a Python-level call (285 ns a class against
 or the parameters by tuple unpacking, `x, y, z = div`, because a read by
 field name goes through a descriptor that CPython 3.11 does not specialise
 (three reads 57 ns, one unpacking 45 ns).  Where a class is only read, they
-build none: cohomology.chi unpacks any (x, y, z) triple, so the chi sums over
-a filtration pass it plain tuples of differences, not a class per term.
+build none: the chi sums over a filtration pass twice_chi the three
+differences as ints, not a class or a tuple per term.
 Neither changes a value.  Code off the hot paths keeps the NamedTuple
 constructors and the field names; so does ScrollParams, whose constructor
 validates.

@@ -14,13 +14,15 @@ The alternating sum of any h-vector equals half the closed polynomial
     2 chi(x, y, z) = (x+1)(y+1)(2z + 2 - bx - ay)      (twice_chi)
 
 for *all* integer (x, y, z) (Riemann-Roch; Fulton, Intersection Theory,
-Cor. 15.2.1).  twice_chi is the one spelling of this polynomial: the sieve of
-ulrich.is_ulrich_line reads it, and `chi` halves it and never asks h_scroll, so
-the O(r^2) chi sums of the tower report cost no cohomology.  `chi` takes any
-(x, y, z) triple: chi_filtered unpacks its line once and hands `chi` each
-difference q - line as a plain tuple, so a term of those sums builds no
-class.  Against the h-vectors the polynomial is the strongest correctness
-oracle for the sign branches: `verify` compares the two on every line of its
+Cor. 15.2.1).  twice_chi is the one spelling of this polynomial, and it
+never asks h_scroll: the sieve of ulrich.is_ulrich_line reads it, `chi`
+halves it, and chi_filtered, the O(r^2) chi sums of the tower report, adds
+it up.  chi_filtered unpacks the parameters and its line once, adds
+twice_chi of each difference q - line and halves the total once; that is
+exact because twice_chi is even for every integer input (if x and y are both
+even, so is bx + ay).  A term of those sums builds no tuple and no class.
+Against the h-vectors the polynomial is the strongest correctness oracle for
+the sign branches: `verify` compares `chi` with them on every line of its
 cohomology box, and the test suite exercises it heavily.
 
 The surface layer is closed-form.  For alpha >= 0 the P^1 sums
@@ -146,18 +148,24 @@ def chi_filtered(
 ) -> int:
     """chi(E (x) line^dual) for E filtered by `quotients`: additive, sum of chi(q - line).
 
-    `line` is unpacked once, and each difference q - line reaches chi as a plain
-    (x, y, z) triple, so a term builds no DivisorClass.
+    `params` and `line` are unpacked once.  Each term adds twice_chi of the
+    difference q - line, and the total is halved once: every term is even, so
+    the halving is exact.  A term builds no tuple and no DivisorClass.
     """
+    a, b, _ = params
     lx, ly, lz = line
     total = 0
     for x, y, z in quotients:
-        total += chi(params, (x - lx, y - ly, z - lz))
-    return total
+        total += twice_chi(a, b, x - lx, y - ly, z - lz)
+    return total // 2
 
 
 def chi_closed_form(params: ScrollParams, div: DivisorClass) -> int:
-    """The Riemann-Roch polynomial of chi(), under the name verify checks it by."""
+    """chi() under a second public name, which bench/child.py imports.
+
+    The CLI's `cohom` prints it as its `chi_closed_form` column; the library and
+    `verify` call chi itself.
+    """
     return chi(params, div)
 
 

@@ -7,7 +7,9 @@ filtered by line bundles: chow.whitney folds its Chern classes over (sub,
 quot), and those of F(-h) over (sub - h, quot - h); chi(End F), additive
 over the filtration, stays the O(r^2) pair sum of cohomology.chi_filtered,
 
-    chi(F (x) F^dual) = 2 chi(O_X) + chi(sub - quot) + chi(quot - sub).
+    chi(F (x) F^dual) = 2 chi(O_X) + chi(sub - quot) + chi(quot - sub),
+
+whose terms add twice_chi of each difference and halve the total once.
 
 The h^2 of End(F) is *not* Chern-determined; it equals h^2(quot - sub) only
 under the vanishing h^2(sub - quot) = 0 that the long-exact-sequence

@@ -7,9 +7,9 @@ classes are the Whitney fold chow.whitney over the quotients, so
 `iter_tower` yields G_1, ..., G_rmax in one pass, one step per rank, and its
 chi sums are cohomology.chi_filtered, each term the Riemann-Roch polynomial:
 chi(End G_r) stays the O(r^2) pair sum, with no grouping by multiplicity,
-and asks no cohomology.  Each term hands chi a plain (x, y, z) difference,
-so the sum builds no class per term.  `_quotients` is the one place that
-spells the alternation of the quotients.
+and asks no cohomology.  Each term adds twice_chi of the difference and the
+sum is halved once, so a term builds no tuple and no class.  `_quotients` is
+the one place that spells the alternation of the quotients.
 
 This module computes and does not check itself: the closed forms in r of
 the Chern classes, of the chi ladders (-r-2 / -r against the next quotient,

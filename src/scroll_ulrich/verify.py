@@ -66,7 +66,7 @@ from .chow import (
     numerical_invariants,
     triple,
 )
-from .cohomology import chi_closed_form, h_scroll, serre_dual
+from .cohomology import chi, h_scroll, serre_dual
 from .extensions import (
     CASE_OF_PAIR,
     ORBIT_REPRESENTATIVE,
@@ -167,7 +167,7 @@ def verify_scan_bounds(params: ScrollParams) -> bool:
     0 <= x, y <= 2 strictly inside z_window, and is_ulrich_line rejecting the
     L_j root of each border row for j = 1, 2, 3: 36 calls, each decided by the
     sieve, since the border rows have some j with chi(D - jh) != 0.  The sieve
-    reads twice_chi, the one Riemann-Roch polynomial, and chi_closed_form is
+    reads twice_chi, the one Riemann-Roch polynomial, and cohomology.chi is
     half of it; cohomology-chi-oracle compares that with every h^i on the lines
     |x|, |y| <= 3 at every z, which covers each D - jh the scan's sieve reads.
     """
@@ -265,7 +265,7 @@ def cohomology_failures(params: ScrollParams) -> Failures:
     only at the walls z = jb + ka - 1; Serre duality on F_a (y <= -2) and on X
     (x <= -2, z -> -(a+b+2) - z) gives the other branches of _walls, and the
     strips are zero.  So off [lo, hi] every h^i of the line and of its Serre
-    image is affine in z, as chi_closed_form is: an equality at lo - 1 and lo
+    image is affine in z, as chi is: an equality at lo - 1 and lo
     (hi and hi + 1) holds on the whole ray, and so does h^i >= 0 where h^i does
     not decrease outward, which the degree-bounds row checks at each outer point.
 
@@ -302,7 +302,7 @@ def cohomology_failures(params: ScrollParams) -> Failures:
                 if vec is None:
                     vec = vectors[div] = h_scroll(params, div)
                 h0, h1, h2, h3 = vec
-                if h0 - h1 + h2 - h3 != chi_closed_form(params, div):
+                if h0 - h1 + h2 - h3 != chi(params, div):
                     failures.append(("cohomology-chi-oracle", div))
                 dual = serre_dual(params, div)
                 vec = get(dual)
@@ -376,21 +376,21 @@ def _check_involution_orbits(
 
     def dual_image(r: Rank2ExtensionRecord) -> tuple:
         # Ext^1(A, B) = Ext^1(B^U, A^U), and F goes to F^dual(K_X + 4h)
-        sub, quot, sub_tag, quot_tag, _, ext, c1, c2, chi, h2, special, c1_tw, c2_tw, _ = r
+        sub, quot, sub_tag, quot_tag, _, ext, c1, c2, chi_endo, h2, special, c1_tw, c2_tw, _ = r
         sub_tag, quot_tag = DUAL_TAG[quot_tag], DUAL_TAG[sub_tag]  # of the image
         return (dual[quot], dual[sub]), (
             sub_tag, quot_tag, paper_case((sub_tag, quot_tag)), ext,
-            twice_kx4h - c1, kx4h_sq - mul_div_div(kx4h, c1, params) + c2, chi, h2, special,
+            twice_kx4h - c1, kx4h_sq - mul_div_div(kx4h, c1, params) + c2, chi_endo, h2, special,
             twice_kx2h - c1_tw, kx2h_sq - mul_div_div(kx2h, c1_tw, params) + c2_tw)
 
     def swap_image(r: Rank2ExtensionRecord) -> tuple:
         # the same extension over F_b: the two bases, so the two flags, exchange
-        sub, quot, sub_tag, quot_tag, _, ext, c1, c2, chi, h2, special, c1_tw, c2_tw, flags = r
+        sub, quot, sub_tag, quot_tag, _, ext, c1, c2, chi_endo, h2, special, c1_tw, c2_tw, flags = r
         sub_tag, quot_tag = SWAP_TAG[sub_tag], SWAP_TAG[quot_tag]  # of the image
         from_a, from_b = flags
         return (swap[sub], swap[quot]), (
             sub_tag, quot_tag, paper_case((sub_tag, quot_tag)), ext, c1.swapped(), c2.swapped(),
-            chi, h2, special, c1_tw.swapped(), c2_tw.swapped(), (from_b, from_a))
+            chi_endo, h2, special, c1_tw.swapped(), c2_tw.swapped(), (from_b, from_a))
 
     orbit = ORBIT_REPRESENTATIVE.get  # a case_id out of 1..15 fails the row, not the run
     for name, image_of, images, stop in (

@@ -33,7 +33,7 @@ from scroll_ulrich import (
 )
 from scroll_ulrich import cohomology as cohmod
 from scroll_ulrich.chow import Codim2Class, mul_div_c2, mul_div_div, triple
-from scroll_ulrich.cohomology import ZERO_COHOMOLOGY
+from scroll_ulrich.cohomology import ZERO_COHOMOLOGY, twice_chi
 
 PARAMS = [
     ScrollParams(0, 0, 1),
@@ -190,6 +190,13 @@ def test_chi_equals_closed_form(p, d):
 def test_chi_filtered_sums_the_h_vectors_of_the_quotients(p, quotients, line):
     # chi is additive over a filtration: one h-vector per quotient is a second route
     assert chi_filtered(p, quotients, line) == sum(h_scroll(p, q - line).chi for q in quotients)
+
+
+@given(*(st.integers(-10**6, 10**6) for _ in range(5)))
+def test_twice_chi_is_even(a, b, x, y, z):
+    # chi_filtered halves a sum of twice_chi once; exact only because every term is
+    # even: (x + 1)(y + 1) is even unless x and y are both even, and then bx + ay is
+    assert twice_chi(a, b, x, y, z) % 2 == 0
 
 
 @given(params_st, divisors)

@@ -234,13 +234,15 @@ def test_h_scroll_calls_do_not_depend_on_rmax(monkeypatch, capsys):
 
 
 def test_chi_sums_build_no_class_per_term(monkeypatch):
-    # chi(End G_r) is still the r^2 pair sum, but each term hands chi a plain
-    # (x, y, z) triple: no DivisorClass subtraction at any rank
+    # chi(End G_r) is still the r^2 pair sum, but each term adds twice_chi of
+    # three int differences and the sum is halved once: no chi call and no
+    # DivisorClass subtraction at any rank
     p = ScrollParams(0, 1, 3)
     subtractions = _counted(monkeypatch, DivisorClass, "__sub__")
     chi_calls = _counted(monkeypatch, cohomology, "chi")
+    twice_chi_calls = _counted(monkeypatch, cohomology, "twice_chi")
     for r in (10, 40):
-        subtractions.clear()
-        chi_calls.clear()
+        for calls in (subtractions, chi_calls, twice_chi_calls):
+            calls.clear()
         assert chi_endo_tower(p, r) == (-r * r + 2 if r % 2 else -r * r)
-        assert (len(subtractions), len(chi_calls)) == (0, r * r), r
+        assert (len(twice_chi_calls), len(chi_calls), len(subtractions)) == (r * r, 0, 0), r

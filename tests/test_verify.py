@@ -185,14 +185,14 @@ def test_each_column_is_swept_once(monkeypatch, capsys):
     """One cohomology sweep per (a, b), which also serves the representative box of its
     family; then one per representative family outside the grid."""
     calls = []
-    original = verify.chi_closed_form
+    original = verify.chi
 
     def counted(params, div):
         if div.as_tuple() == (-1, -1, 0):  # on the strips, inside every family's walls
             calls.append((params.a, params.b))
         return original(params, div)
 
-    monkeypatch.setattr(verify, "chi_closed_form", counted)
+    monkeypatch.setattr(verify, "chi", counted)
     assert main(["verify", "--a", "0..1", "--b", "0..1", "--normalize"]) == EXIT_OK
     capsys.readouterr()
     assert calls == [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 3)]
@@ -215,13 +215,13 @@ def test_cohomology_sweep_evaluates_each_class_once(monkeypatch):
 @pytest.mark.parametrize("c", [3, 300])
 def test_cohomology_sweep_is_constant_size(monkeypatch, c):
     calls = []
-    original = verify.chi_closed_form
+    original = verify.chi
 
     def counted(params, div):
         calls.append(div)
         return original(params, div)
 
-    monkeypatch.setattr(verify, "chi_closed_form", counted)
+    monkeypatch.setattr(verify, "chi", counted)
     assert verify.cohomology_failures(ScrollParams(0, 1, c)) == []
     assert len(calls) == 573
 
@@ -232,8 +232,8 @@ def test_cohomology_sweep_is_constant_size(monkeypatch, c):
     ((4, 0, 0), {"representative"}),  # inside only the representative box (0, 1, 2)
 ])
 def test_column_sweep_reports_each_cells_own_first_failure(monkeypatch, capsys, where, failing):
-    chi = verify.chi_closed_form
-    monkeypatch.setattr(verify, "chi_closed_form", lambda p, d: chi(p, d) + (d.as_tuple() == where))
+    chi = verify.chi
+    monkeypatch.setattr(verify, "chi", lambda p, d: chi(p, d) + (d.as_tuple() == where))
     assert main(["verify", "--a", "0", "--b", "1", "--c", "2..4", "--all"]) == EXIT_VERIFY_FAILED
     checks = next(t for t in json.loads(capsys.readouterr().out)["tables"] if t["name"] == "checks")
     rows = [tuple(r[:3] + r[4:]) for r in checks["rows"] if r[3] == "cohomology-chi-oracle"]
@@ -336,18 +336,22 @@ def test_named_n_z_plus_one_is_caught(monkeypatch, capsys):
 
 
 def test_chi_closed_form_plus_one_is_caught(monkeypatch, capsys):
-    original = cohomology.chi_closed_form
+    # chi is the closed form that verify's box compares with every h-vector, by name
+    original = cohomology.chi
     _patch_everywhere(monkeypatch, original, lambda p, d: original(p, d) + 1)
     assert "cohomology-chi-oracle" in _cli_failures((0, 1, 3), capsys)
 
 
 def test_riemann_roch_plus_one_at_x_minus_two_is_caught(monkeypatch, capsys):
-    # one Riemann-Roch body, chi: the tower's pair sums and the rank-two chi(End)
-    # read it by that name, verify's box through chi_closed_form.  x = -2 holds
-    # N^U - N, so the tower and case-1 rows fail, and so does the box.  The sums
-    # pass chi plain (x, y, z) tuples, so x is read by index.
-    original = cohomology.chi
-    _patch_everywhere(monkeypatch, original, lambda p, d: original(p, d) + (d[0] == -2))
+    # one Riemann-Roch body, twice_chi: chi halves it for verify's box, and the
+    # tower's pair sums and the rank-two chi(End) add it up through chi_filtered.
+    # Only cohomology's binding is mutated, so the sieve's ulrich.twice_chi stays
+    # intact; +2 keeps the value even.  x = -2 holds N^U - N, so the tower and
+    # case-1 rows fail, and so does the box.
+    original = cohomology.twice_chi
+    monkeypatch.setattr(
+        cohomology, "twice_chi", lambda a, b, x, y, z: original(a, b, x, y, z) + 2 * (x == -2)
+    )
     assert {"tower-closed-forms", "endo-case1-chi", "cohomology-chi-oracle"} <= _cli_failures(
         (0, 1, 3), capsys
     )
@@ -450,9 +454,8 @@ def test_h_falling_past_the_upper_wall_is_caught(monkeypatch, capsys):
 def test_chi_defect_beyond_the_old_box_is_caught(monkeypatch, capsys):
     # (5, 5, 24) is on the upper wall of its line for (a, b) = (2, 3), outside the
     # box |z| <= c + 4 = 10 of the representative triple (2, 3, 6)
-    chi = verify.chi_closed_form
-    monkeypatch.setattr(verify, "chi_closed_form",
-                        lambda p, d: chi(p, d) + (d.as_tuple() == (5, 5, 24)))
+    chi = verify.chi
+    monkeypatch.setattr(verify, "chi", lambda p, d: chi(p, d) + (d.as_tuple() == (5, 5, 24)))
     assert _cli_failures((2, 3, 6), capsys) == {"cohomology-chi-oracle-representative-box"}
 
 
@@ -556,10 +559,8 @@ def test_case_without_records_fails_its_moduli_rows(monkeypatch, capsys):
 
 
 def test_cohomology_rows_report_their_own_first_failure(monkeypatch):
-    chi, dual = verify.chi_closed_form, verify.serre_dual
-    monkeypatch.setattr(
-        verify, "chi_closed_form", lambda p, d: chi(p, d) + (d.as_tuple() == (0, 0, 0))
-    )
+    chi, dual = verify.chi, verify.serre_dual
+    monkeypatch.setattr(verify, "chi", lambda p, d: chi(p, d) + (d.as_tuple() == (0, 0, 0)))
     monkeypatch.setattr(
         verify, "serre_dual", lambda p, d: dual(p, d) + F if d.as_tuple() == (1, 1, 1) else dual(p, d)
     )
